@@ -119,11 +119,12 @@ def cmd_train(args) -> int:
                             store.relations.names, store.tuples.names)
     with open(metrics, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "recon", "l2", "implication", "total", "seconds"])
+        writer.writerow(["epoch", "recon", "l2", "implication", "total", "seconds",
+                         "collision_rate", "rule_seconds", "dropped_pairs"])
         for st in result.stats:
-            writer.writerow([st.epoch, repr(st.loss.reconstruction), repr(st.loss.l2),
-                             repr(st.loss.implication), repr(st.loss.total),
-                             repr(st.seconds)])
+            reals = (st.loss.reconstruction, st.loss.l2, st.loss.implication,
+                     st.loss.total, st.seconds, st.collision_rate, st.rule_seconds)
+            writer.writerow([st.epoch, *(repr(float(x)) for x in reals), st.dropped_pairs])
     write_manifest(outdir / "manifest.json", "train", _resolved_flags(args),
                    {"facts": args.facts, "rules": args.rules},
                    [checkpoint, adam_path, metrics])

@@ -12,7 +12,7 @@ gradient checks in the test suite rely on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -154,19 +154,26 @@ class Batch:
 
 @dataclass
 class Gradients:
-    """Dense gradient buffers plus the touched-row index sets (lazy updates)."""
+    """Row-compact gradient buffers for the rows one batch touches.
+
+    `relations` has shape (len(relation_rows), k) and `tuple_pre` shape
+    (len(tuple_rows), k); row i is the gradient of parameter row
+    `relation_rows[i]` / `tuple_rows[i]`. The row arrays are sorted and
+    unique, so a buffer position is `np.searchsorted(rows, id)`. Buffer size
+    depends on the batch, never on the vocabulary sizes.
+    """
     relations: np.ndarray
     tuple_pre: np.ndarray
-    relation_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    tuple_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    relation_rows: np.ndarray
+    tuple_rows: np.ndarray
 
 
-def touched_rows(batch: Batch, rules) -> tuple[np.ndarray, np.ndarray]:
-    rel = batch.relations
-    if rules:
-        rule_rel = np.array([i for r in rules for i in (r.antecedent, r.consequent)],
-                            dtype=np.int64)
-        rel = np.concatenate([rel, rule_rel])
+def touched_rows(batch: Batch, rule_idx) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique relation and tuple rows of a batch plus its rule relations.
+
+    `rule_idx` is the (antecedents, consequents) pair of `rule_index_arrays`.
+    """
+    rel = np.concatenate([batch.relations, *rule_idx])
     tup = np.concatenate([batch.positives, batch.negatives])
     return np.unique(rel), np.unique(tup)
 
@@ -184,7 +191,7 @@ def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) ->
     s = np.einsum("ij,ij->i", r, t_neg - t_pos)
     recon = float(recon_pair_loss(s).sum())
 
-    rel_rows, tup_rows = touched_rows(batch, rules)
+    rel_rows, tup_rows = touched_rows(batch, rule_index_arrays(rules))
     l2 = float(np.sum(params.relations[rel_rows] ** 2)
                + np.sum(params.tuple_pre[tup_rows] ** 2))
 
@@ -195,10 +202,16 @@ def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) ->
     return LossBreakdown.build(recon, l2, implication, config.alpha, config.beta_tilde)
 
 
-def recon_l2_gradients(params: ModelParams, batch: Batch, rules,
+def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
                        config: ModelConfig) -> tuple[Gradients, float, float]:
-    """Gradients of the reconstruction + L2 terms; returns (grads, recon, l2)."""
-    grads = Gradients(np.zeros_like(params.relations), np.zeros_like(params.tuple_pre))
+    """Gradients of the reconstruction + L2 terms; returns (grads, recon, l2).
+
+    The buffers are row-compact over `touched_rows(batch, rule_idx)`, so
+    the rule relations already have rows for `rule_gradients` to add into.
+    Each row accumulates the same values in the same order as a dense
+    buffer indexed by parameter id would.
+    """
+    rel_rows, tup_rows = touched_rows(batch, rule_idx)
     t_pos = effective_tuples(params, config.variant, batch.positives)
     t_neg = effective_tuples(params, config.variant, batch.negatives)
     r = params.relations[batch.relations]
@@ -206,21 +219,25 @@ def recon_l2_gradients(params: ModelParams, batch: Batch, rules,
     recon = float(recon_pair_loss(s).sum())
     w = sigmoid(s)[:, None]  # d softplus(s) / ds
 
-    np.add.at(grads.relations, batch.relations, w * (t_neg - t_pos))
+    k = params.relations.shape[1]
+    grad_rel = np.zeros((len(rel_rows), k))
+    grad_tup = np.zeros((len(tup_rows), k))
+    neg_at = np.searchsorted(tup_rows, batch.negatives)
+    pos_at = np.searchsorted(tup_rows, batch.positives)
+    np.add.at(grad_rel, np.searchsorted(rel_rows, batch.relations), w * (t_neg - t_pos))
     if config.sigmoid_tuples:
-        np.add.at(grads.tuple_pre, batch.negatives, w * r * t_neg * (1.0 - t_neg))
-        np.add.at(grads.tuple_pre, batch.positives, -w * r * t_pos * (1.0 - t_pos))
+        np.add.at(grad_tup, neg_at, w * r * t_neg * (1.0 - t_neg))
+        np.add.at(grad_tup, pos_at, -w * r * t_pos * (1.0 - t_pos))
     else:
-        np.add.at(grads.tuple_pre, batch.negatives, w * r)
-        np.add.at(grads.tuple_pre, batch.positives, -w * r)
+        np.add.at(grad_tup, neg_at, w * r)
+        np.add.at(grad_tup, pos_at, -w * r)
 
-    rel_rows, tup_rows = touched_rows(batch, rules)
-    grads.relations[rel_rows] += 2.0 * config.alpha * params.relations[rel_rows]
-    grads.tuple_pre[tup_rows] += 2.0 * config.alpha * params.tuple_pre[tup_rows]
-    grads.relation_rows, grads.tuple_rows = rel_rows, tup_rows
-    l2 = float(np.sum(params.relations[rel_rows] ** 2)
-               + np.sum(params.tuple_pre[tup_rows] ** 2))
-    return grads, recon, l2
+    rel_params = params.relations[rel_rows]
+    tup_params = params.tuple_pre[tup_rows]
+    grad_rel += 2.0 * config.alpha * rel_params
+    grad_tup += 2.0 * config.alpha * tup_params
+    l2 = float(np.sum(rel_params ** 2) + np.sum(tup_params ** 2))
+    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows), recon, l2
 
 
 def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
@@ -228,7 +245,9 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
     """Add beta_tilde-weighted lifted-rule gradients in place; returns the raw loss.
 
     The hinge subgradient at the kink is 0 (constraint already satisfied).
-    `rule_idx` is a pair of index arrays (antecedents, consequents).
+    `rule_idx` is a pair of index arrays (antecedents, consequents); every
+    rule relation must be in `grads.relation_rows`, as `touched_rows`
+    guarantees.
     """
     ant, cons = rule_idx
     if len(ant) == 0:
@@ -237,8 +256,8 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
     active = diff > 0.0
     loss = float(np.where(active, diff, 0.0).sum())
     contrib = config.beta_tilde * active.astype(np.float64)
-    np.add.at(grads.relations, ant, contrib)
-    np.add.at(grads.relations, cons, -contrib)
+    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, ant), contrib)
+    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, cons), -contrib)
     return loss
 
 
@@ -248,12 +267,19 @@ def rule_index_arrays(rules) -> tuple[np.ndarray, np.ndarray]:
     return ant, cons
 
 
-def gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> Gradients:
-    """Exact analytic gradients of `batch_loss` w.r.t. all parameters."""
-    grads, _, _ = recon_l2_gradients(params, batch, rules, config)
-    if rules:
-        rule_gradients(params, rule_index_arrays(rules), config, grads)
-    return grads
+def gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> ModelParams:
+    """Exact analytic gradients of `batch_loss`, dense and shaped like `params`.
+
+    Scatters the compact training buffers into full matrices; rows the batch
+    does not touch are zero. Only the finite-difference checks use this.
+    """
+    rule_idx = rule_index_arrays(rules)
+    grads, _, _ = recon_l2_gradients(params, batch, rule_idx, config)
+    rule_gradients(params, rule_idx, config, grads)
+    dense = ModelParams(np.zeros_like(params.relations), np.zeros_like(params.tuple_pre))
+    dense.relations[grads.relation_rows] = grads.relations
+    dense.tuple_pre[grads.tuple_rows] = grads.tuple_pre
+    return dense
 
 
 def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,

@@ -85,15 +85,20 @@ def sample_negative(store: FactStore, relation: int, rng,
     return None, max_attempts
 
 
-def _adam_update_block(theta, grad, m, v, rows, t, options):
-    g = grad[rows]
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("non-finite gradient encountered")
+def _adam_update_block(name, theta, grad, m, v, rows, t, options):
+    """ADAM on the rows `rows` of one block; `grad` row i belongs to `rows[i]`."""
+    if grad.shape[0] != len(rows):
+        raise ValueError(f"{name}: gradient buffer has {grad.shape[0]} rows "
+                         f"for {len(rows)} touched rows")
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError(f"non-finite gradient in {name}")
     b1, b2 = options.adam_beta1, options.adam_beta2
-    m[rows] = b1 * m[rows] + (1 - b1) * g
-    v[rows] = b2 * v[rows] + (1 - b2) * g * g
-    m_hat = m[rows] / (1 - b1 ** t)
-    v_hat = v[rows] / (1 - b2 ** t)
+    m_rows = b1 * m[rows] + (1 - b1) * grad
+    v_rows = b2 * v[rows] + (1 - b2) * grad * grad
+    m[rows] = m_rows
+    v[rows] = v_rows
+    m_hat = m_rows / (1 - b1 ** t)
+    v_hat = v_rows / (1 - b2 ** t)
     theta[rows] -= options.learning_rate * m_hat / (np.sqrt(v_hat) + options.adam_epsilon)
 
 
@@ -101,20 +106,16 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
               options: TrainOptions):
     """Bias-corrected ADAM update on the touched parameter rows only.
 
-    Moments of untouched rows are not decayed (lazy/sparse semantics), so an
-    epoch costs O(nnz) regardless of vocabulary sizes.
+    `grads` is row-compact (see `model.Gradients`): each block's buffer has
+    one row per entry of its row array. Moments of untouched rows are not
+    decayed (lazy/sparse semantics), so an epoch costs O(nnz) regardless of
+    vocabulary sizes.
     """
     state.step += 1
-    try:
-        _adam_update_block(params.relations, grads.relations, state.m_rel,
-                           state.v_rel, grads.relation_rows, state.step, options)
-    except NumericalError:
-        raise NumericalError("non-finite gradient in relation embeddings") from None
-    try:
-        _adam_update_block(params.tuple_pre, grads.tuple_pre, state.m_tup,
-                           state.v_tup, grads.tuple_rows, state.step, options)
-    except NumericalError:
-        raise NumericalError("non-finite gradient in tuple pre-activations") from None
+    _adam_update_block("relation embeddings", params.relations, grads.relations,
+                       state.m_rel, state.v_rel, grads.relation_rows, state.step, options)
+    _adam_update_block("tuple pre-activations", params.tuple_pre, grads.tuple_pre,
+                       state.m_tup, state.v_tup, grads.tuple_rows, state.step, options)
     return params, state
 
 
@@ -171,7 +172,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             if not triples:
                 continue
             batch = Batch.from_pairs(triples)
-            grads, recon, l2 = model.recon_l2_gradients(params, batch, active_rules, config)
+            grads, recon, l2 = model.recon_l2_gradients(params, batch, rule_idx, config)
             if active_rules:
                 r0 = time.perf_counter()
                 implication = model.rule_gradients(params, rule_idx, config, grads)

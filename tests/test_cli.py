@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from liftedkb.cli import main
@@ -78,6 +79,21 @@ class TestTrainCommand:
         args = ["train", "--facts", str(corpus_files["facts"]),
                 "--out", str(tmp_path / "x"), "--variant", "bogus", "--epochs", "1"]
         assert main(args) == 1
+
+    def test_metrics_csv_plain_numbers(self, corpus_files, tmp_path):
+        out = tmp_path / "run"
+        assert run_train(corpus_files, out, variant="fsl", epochs=3) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "recon", "l2", "implication", "total", "seconds",
+                           "collision_rate", "rule_seconds", "dropped_pairs"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        for row in rows[1:]:
+            values = [float(cell) for cell in row]
+            assert all(np.isfinite(values))
+            assert 0.0 <= values[6] <= 1.0
+            assert values[7] > 0.0
+            assert row[8] == str(int(row[8]))
 
     def test_missing_facts_file(self, tmp_path):
         args = ["train", "--facts", str(tmp_path / "absent.tsv"),

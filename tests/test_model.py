@@ -4,7 +4,7 @@ import pytest
 from helpers import (away_from_hinge_kinks, finite_difference_gradients,
                      random_instance, relative_gradient_error)
 from liftedkb import model
-from liftedkb.data import Rule
+from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.model import (Batch, LossBreakdown, ModelConfig, ModelParams,
                             grounded_rule_loss, implication_pair_loss,
                             lifted_rule_loss, recon_pair_loss)
@@ -182,6 +182,38 @@ class TestGradients:
         loss = model.batch_loss(p, batch, rules, config)
         assert loss.total == loss.reconstruction + config.alpha * loss.l2 \
             + config.beta_tilde * loss.implication
+
+
+class TestCompactGradients:
+    def test_buffer_size_independent_of_tuple_vocabulary(self):
+        # the same facts in a 1k- and a 100k-tuple vocabulary: an epoch is
+        # O(nnz) only if the per-batch buffers do not grow with |T|
+        facts = [(f"r{i % 5}", f"t{(7 * i) % 300}") for i in range(200)]
+
+        def store_with(n_tuples):
+            relations = Vocab(f"r{i}" for i in range(5))
+            tuples = Vocab(f"t{j}" for j in range(n_tuples))
+            return FactStore(relations, tuples,
+                             [(relations.id(r), tuples.id(t)) for r, t in facts])
+
+        config = ModelConfig(k=4, variant="fsl")
+        large = model.init_params(config, 5, 100_000, seed=0)
+        small = ModelParams(large.relations, large.tuple_pre[:1_000])
+        rule_idx = model.rule_index_arrays([Rule(0, 3), Rule(1, 4)])
+        results = []
+        for params, n_tuples in ((small, 1_000), (large, 100_000)):
+            store = store_with(n_tuples)
+            rel, pos = np.array(store.facts).T
+            batch = Batch(rel, pos, (pos + 301) % 1_000)
+            grads, _, _ = model.recon_l2_gradients(params, batch, rule_idx, config)
+            model.rule_gradients(params, rule_idx, config, grads)
+            rows = np.unique(np.concatenate([batch.positives, batch.negatives]))
+            assert np.array_equal(grads.tuple_rows, rows)
+            assert grads.tuple_pre.shape == (len(rows), 4)
+            assert grads.relations.shape == (5, 4)
+            results.append(grads)
+        assert np.array_equal(results[0].tuple_pre, results[1].tuple_pre)
+        assert np.array_equal(results[0].relations, results[1].relations)
 
 
 class TestPersistence:

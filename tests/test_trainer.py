@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestAdamStep:
     def make(self, grad_value):
         params = ModelParams(np.zeros((1, 1)), np.zeros((1, 1)))
         state = AdamState.zeros(1, 1, 1)
-        grads = Gradients(np.full((1, 1), grad_value), np.zeros((1, 1)),
+        grads = Gradients(np.full((1, 1), grad_value), np.zeros((0, 1)),
                           np.array([0]), np.array([], dtype=np.int64))
         return params, state, grads
 
@@ -76,6 +78,12 @@ class TestAdamStep:
     def test_nonfinite_gradient_identifies_block(self):
         params, state, grads = self.make(np.nan)
         with pytest.raises(NumericalError, match="relation"):
+            trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
+
+    def test_buffer_row_count_must_match_rows(self):
+        params, state, grads = self.make(1.0)
+        grads.tuple_pre = np.zeros((1, 1))  # one buffer row, no touched rows
+        with pytest.raises(ValueError, match="tuple pre-activations"):
             trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
 
     def test_moment_invariants(self):
@@ -182,6 +190,32 @@ class TestTrain:
         for s in result.stats:
             assert s.seconds >= 0
             assert 0 <= s.collision_rate <= 1
+
+
+class TestGoldenDigest:
+    # SHA-256 of params, ADAM moments and step after a fixed-seed run,
+    # recorded with the dense-gradient trainer (numpy 2.4, x86-64). Equal
+    # digests mean the row-compact gradient path changed no bit.
+    DIGESTS = {
+        "f": "56757697c5aef0a7b9ef9f19fd65be904534510ca69cd12548c2919af7f52228",
+        "fs": "2417a645c8aa7a44acc9924bab616c5df230c3d827654adec1c0d467b2d78471",
+        "fsl": "014e779d8fadc28b79cb294e0a2b37c116cd1da1ac1686332c7bd30fff82deb4",
+    }
+
+    @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
+    def test_fixed_seed_run_matches_recorded_digest(self, variant):
+        corpus = clustered_corpus(n_clusters=2, relations_per_cluster=6,
+                                  tuples_per_cluster=40, n_rules=3, seed=3)
+        result = train(corpus.store, corpus.rules, ModelConfig(k=5, variant=variant),
+                       TrainOptions(epochs=4, batch_size=32, learning_rate=0.02, seed=7))
+        digest = hashlib.sha256()
+        for arr in (result.params.relations, result.params.tuple_pre,
+                    result.adam.m_rel, result.adam.v_rel,
+                    result.adam.m_tup, result.adam.v_tup):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(str(result.adam.step).encode())
+        assert result.adam.step == 20
+        assert digest.hexdigest() == self.DIGESTS[variant]
 
 
 class TestAdamPersistence:
