@@ -45,7 +45,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, command: str, flags: dict, inputs: dict, outputs: list):
+def write_manifest(path, command: str, args, inputs: dict, outputs: list):
+    """JSON run manifest: the resolved flags of `args`, input digests, outputs."""
+    flags = {k: (str(v) if isinstance(v, Path) else v)
+             for k, v in vars(args).items() if k != "func"}
     manifest = {
         "engine_version": __version__,
         "command": command,
@@ -56,6 +59,22 @@ def write_manifest(path, command: str, flags: dict, inputs: dict, outputs: list)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_report(args, command: str, inputs: dict, header, rows) -> Path:
+    """Write a CSV report to `--out` and its manifest to `<out>.manifest.json`."""
+    out = Path(args.out)
+    _write_csv(out, header, rows)
+    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), command, args,
+                   inputs, [out])
+    return out
 
 
 def _add_model_flags(parser):
@@ -76,20 +95,17 @@ def _add_train_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _config_from_args(args) -> ModelConfig:
-    return ModelConfig(k=args.k, alpha=args.alpha, beta_tilde=args.beta_tilde,
-                       delta=args.delta, variant=args.variant,
-                       init_low=args.init_low, init_high=args.init_high)
-
-
-def _options_from_args(args) -> TrainOptions:
-    return TrainOptions(epochs=args.epochs, learning_rate=args.learning_rate,
-                        batch_size=args.batch_size, seed=args.seed)
-
-
-def _resolved_flags(args) -> dict:
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in flags.items()}
+def _config_and_options(args) -> tuple[ModelConfig, TrainOptions]:
+    """Model and training settings from the flags; invalid values are usage errors."""
+    try:
+        config = ModelConfig(k=args.k, alpha=args.alpha, beta_tilde=args.beta_tilde,
+                             delta=args.delta, variant=args.variant,
+                             init_low=args.init_low, init_high=args.init_high)
+        options = TrainOptions(epochs=args.epochs, learning_rate=args.learning_rate,
+                               batch_size=args.batch_size, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    return config, options
 
 
 def _load_rules_checked(path, relations) -> list:
@@ -100,34 +116,28 @@ def _load_rules_checked(path, relations) -> list:
 
 
 def cmd_train(args) -> int:
-    store = load_facts(args.facts)
+    config, options = _config_and_options(args)
     if args.variant == "fsl" and args.rules is None:
         raise UsageError("--rules is required with --variant fsl")
+    store = load_facts(args.facts)
     rules = _load_rules_checked(args.rules, store.relations) if args.rules else []
-    config = _config_from_args(args)
-    options = _options_from_args(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     result = trainer.train(store, rules, config, options)
     checkpoint = outdir / "checkpoint.txt"
-    adam_path = outdir / "adam_state.txt"
     metrics = outdir / "metrics.csv"
     model.save_embeddings(checkpoint, result.params,
                           store.relations.names, store.tuples.names)
-    trainer.save_adam_state(adam_path, result.adam,
-                            store.relations.names, store.tuples.names)
-    with open(metrics, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "recon", "l2", "implication", "total", "seconds",
-                         "collision_rate", "rule_seconds", "dropped_pairs"])
-        for st in result.stats:
-            reals = (st.loss.reconstruction, st.loss.l2, st.loss.implication,
-                     st.loss.total, st.seconds, st.collision_rate, st.rule_seconds)
-            writer.writerow([st.epoch, *(repr(float(x)) for x in reals), st.dropped_pairs])
-    write_manifest(outdir / "manifest.json", "train", _resolved_flags(args),
-                   {"facts": args.facts, "rules": args.rules},
-                   [checkpoint, adam_path, metrics])
+    epochs = []
+    for st in result.stats:
+        reals = (st.loss.reconstruction, st.loss.l2, st.loss.implication,
+                 st.loss.total, st.seconds, st.collision_rate, st.rule_seconds)
+        epochs.append([st.epoch, *(repr(float(x)) for x in reals), st.dropped_pairs])
+    _write_csv(metrics, ["epoch", "recon", "l2", "implication", "total", "seconds",
+                         "collision_rate", "rule_seconds", "dropped_pairs"], epochs)
+    write_manifest(outdir / "manifest.json", "train", args,
+                   {"facts": args.facts, "rules": args.rules}, [checkpoint, metrics])
     print(f"trained {options.epochs} epochs on {len(store)} facts "
           f"({len(store.relations)} relations, {len(store.tuples)} tuples); "
           f"checkpoint at {checkpoint}")
@@ -148,18 +158,12 @@ def cmd_eval(args) -> int:
         train_store = FactStore(relations, tuples, [])
     tasks = evaluation.build_tasks(train_store, test)
     wmap, rows = evaluation.weighted_map(tasks, params, args.variant)
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation", "test_facts", "average_precision"])
-        for row in rows:
-            writer.writerow([relations.name(row.relation), row.n_test,
-                             repr(row.average_precision)])
-        writer.writerow(["WEIGHTED_MAP", sum(r.n_test for r in rows), repr(wmap)])
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "eval",
-                   _resolved_flags(args),
-                   {"checkpoint": args.checkpoint, "test": args.test,
-                    "train_facts": args.train_facts}, [out])
+    table = [[relations.name(row.relation), row.n_test, repr(row.average_precision)]
+             for row in rows]
+    table.append(["WEIGHTED_MAP", sum(r.n_test for r in rows), repr(wmap)])
+    out = _write_report(args, "eval", {"checkpoint": args.checkpoint, "test": args.test,
+                                       "train_facts": args.train_facts},
+                        ["relation", "test_facts", "average_precision"], table)
     print(f"weighted MAP {wmap:.4f} over {len(rows)} relations -> {out}")
     return EXIT_OK
 
@@ -174,8 +178,7 @@ def cmd_mine(args) -> int:
         rules = [m.rule for m in mined]
     out = Path(args.out)
     save_rules(out, rules, store.relations)
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "mine",
-                   _resolved_flags(args),
+    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "mine", args,
                    {"facts": args.facts, "lexicon": args.lexicon,
                     "decisions": args.decisions}, [out])
     print(f"mined {len(mined)} candidate rules, wrote {len(rules)} -> {out}")
@@ -188,21 +191,15 @@ def cmd_analyze_asymmetry(args) -> int:
     rules = _load_rules_checked(args.rules, relations)
     rows, grand_fwd, grand_bwd = evaluation.asymmetry_report(
         params, rules, train_store, args.variant)
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["antecedent", "consequent", "mean_forward",
-                         "mean_backward", "n_forward", "n_backward"])
-        for row in rows:
-            writer.writerow([relations.name(row.rule.antecedent),
-                             relations.name(row.rule.consequent),
-                             repr(row.mean_forward), repr(row.mean_backward),
-                             row.n_forward, row.n_backward])
-        writer.writerow(["GRAND_MEAN", "", repr(grand_fwd), repr(grand_bwd), "", ""])
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                   "analyze asymmetry", _resolved_flags(args),
-                   {"checkpoint": args.checkpoint, "rules": args.rules,
-                    "train_facts": args.train_facts}, [out])
+    table = [[relations.name(row.rule.antecedent), relations.name(row.rule.consequent),
+              repr(row.mean_forward), repr(row.mean_backward), row.n_forward, row.n_backward]
+             for row in rows]
+    table.append(["GRAND_MEAN", "", repr(grand_fwd), repr(grand_bwd), "", ""])
+    out = _write_report(args, "analyze asymmetry",
+                        {"checkpoint": args.checkpoint, "rules": args.rules,
+                         "train_facts": args.train_facts},
+                        ["antecedent", "consequent", "mean_forward", "mean_backward",
+                         "n_forward", "n_backward"], table)
     print(f"asymmetry report for {len(rows)} rules -> {out}")
     return EXIT_OK
 
@@ -217,21 +214,24 @@ def cmd_analyze_matrix(args) -> int:
     norms = [float(np.abs(params.relations[i]).sum()) for i in involved]
     order = sorted(range(len(involved)), key=lambda j: (norms[j], involved[j]))
     columns = [involved[j] for j in order]
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dimension"] + [relations.name(c) for c in columns])
-        for dim in range(params.relations.shape[1]):
-            writer.writerow([dim] + [repr(float(params.relations[c, dim]))
-                                     for c in columns])
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                   "analyze matrix", _resolved_flags(args),
-                   {"checkpoint": args.checkpoint, "rules": args.rules}, [out])
+    table = [[dim] + [repr(float(params.relations[c, dim])) for c in columns]
+             for dim in range(params.relations.shape[1])]
+    out = _write_report(args, "analyze matrix",
+                        {"checkpoint": args.checkpoint, "rules": args.rules},
+                        ["dimension"] + [relations.name(c) for c in columns], table)
     print(f"relation matrix with {len(columns)} columns -> {out}")
     return EXIT_OK
 
 
 def cmd_analyze_zero_shot(args) -> int:
+    config, options = _config_and_options(args)
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+    except ValueError:
+        raise UsageError(f"--fractions: expected comma-separated numbers, "
+                         f"got {args.fractions!r}") from None
+    if fractions != sorted(set(fractions)):
+        raise UsageError("--fractions must be strictly increasing")
     store = load_facts(args.facts)
     test = load_facts_with_vocab(args.test, store.relations, store.tuples)
     rules = _load_rules_checked(args.rules, store.relations)
@@ -249,22 +249,14 @@ def cmd_analyze_zero_shot(args) -> int:
                 implied.add(store.relations.id(name))
     else:
         implied = {r.consequent for r in rules}
-    fractions = [float(f) for f in args.fractions.split(",")]
-    config = _config_from_args(args)
     config.variant = "fsl"
-    options = _options_from_args(args)
     curve = evaluation.zero_shot_sweep(store, test, rules, implied, fractions,
                                        config, options)
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "weighted_map"])
-        for fraction, wmap in curve.points:
-            writer.writerow([repr(fraction), repr(wmap)])
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                   "analyze zero-shot", _resolved_flags(args),
-                   {"facts": args.facts, "test": args.test, "rules": args.rules,
-                    "implied_relations": args.implied_relations}, [out])
+    table = [[repr(fraction), repr(wmap)] for fraction, wmap in curve.points]
+    out = _write_report(args, "analyze zero-shot",
+                        {"facts": args.facts, "test": args.test, "rules": args.rules,
+                         "implied_relations": args.implied_relations},
+                        ["fraction", "weighted_map"], table)
     print(f"zero-shot curve with {len(curve.points)} points -> {out}")
     return EXIT_OK
 
@@ -350,7 +342,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

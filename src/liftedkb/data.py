@@ -3,6 +3,7 @@
 File formats (stable CLI contracts):
   fact file:  one fact per line, `relation<TAB>tuple`, UTF-8, LF lines.
               The tuple is an opaque token (convention: `entityA|entityB`).
+              Names contain no whitespace.
   rule file:  `antecedent => consequent` per line; TAB or space separation
               around the `=>` token.
 """
@@ -110,9 +111,9 @@ class FactStore:
                 fh.write(f"{self.relations.name(r)}\t{self.tuples.name(t)}\n")
 
 
-def load_facts(path) -> FactStore:
-    """Parse a fact file into a FactStore; errors carry the line number."""
-    pairs = []
+def _read_fact_lines(path) -> list[tuple[int, str, str]]:
+    """(line number, relation, tuple) for every non-blank line of a fact file."""
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -121,10 +122,27 @@ def load_facts(path) -> FactStore:
             fields = line.split("\t")
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
-            pairs.append((fields[0], fields[1]))
-    if not pairs:
+            lines.append((lineno, fields[0], fields[1]))
+    if not lines:
         raise ParseError(f"{path}: no facts found")
-    return FactStore.from_named_pairs(pairs)
+    return lines
+
+
+def load_facts(path) -> FactStore:
+    """Parse a fact file into a FactStore; errors carry the line number.
+
+    Names containing whitespace are rejected: the checkpoint format
+    separates fields by whitespace, so they could not be read back.
+    """
+    lines = _read_fact_lines(path)
+    store = FactStore.from_named_pairs((rel, tup) for _, rel, tup in lines)
+    bad = {name for name in store.relations.names + store.tuples.names
+           if name.split() != [name]}
+    if bad:
+        lineno, rel, tup = next(line for line in lines if line[1] in bad or line[2] in bad)
+        name = rel if rel in bad else tup
+        raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
+    return store
 
 
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
@@ -133,27 +151,17 @@ def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
     Names absent from the vocabularies are an error; the message lists them.
     """
     pairs = []
-    unknown = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
-            rel, tup = fields
-            if rel not in relations:
-                unknown.append(rel)
-            if tup not in tuples:
-                unknown.append(tup)
-            if rel in relations and tup in tuples:
-                pairs.append((relations.id(rel), tuples.id(tup)))
+    unknown = set()
+    for _, rel, tup in _read_fact_lines(path):
+        if rel not in relations:
+            unknown.add(rel)
+        if tup not in tuples:
+            unknown.add(tup)
+        if not unknown:
+            pairs.append((relations.id(rel), tuples.id(tup)))
     if unknown:
         raise DataError(f"{path}: names missing from checkpoint vocabulary: "
-                        + ", ".join(sorted(set(unknown))))
-    if not pairs:
-        raise ParseError(f"{path}: no facts found")
+                        + ", ".join(sorted(unknown)))
     return FactStore(relations, tuples, pairs)
 
 

@@ -16,6 +16,7 @@ from scipy.special import expit as sigmoid
 
 from . import model, trainer
 from .data import FactStore, Rule
+from .errors import DataError
 from .model import ModelConfig, ModelParams
 
 log = logging.getLogger(__name__)
@@ -112,7 +113,7 @@ def weighted_map(tasks, params: ModelParams, variant: str):
     rows = []
     for task in tasks:
         if not set(task.positives) <= set(task.pool):
-            raise ValueError(f"relation {task.relation}: positives not contained in pool")
+            raise DataError(f"relation {task.relation}: positives not contained in pool")
         ranked = rank_pool(params, task.relation, task.pool, variant)
         ap = average_precision(ranked, task.positives)
         rows.append(RelationAP(task.relation, len(task.positives), ap))
@@ -191,11 +192,11 @@ def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied_relations,
         raise ValueError("fractions must be strictly increasing")
     implied = set(implied_relations)
     if not implied:
-        raise ValueError("no implied relations given")
+        raise DataError("no implied relations given")
     overrides = {rid: init_range for rid in sorted(implied)}
     tasks = [t for t in build_tasks(train, test) if t.relation in implied]
     if not tasks:
-        raise ValueError("implied relations have no test facts")
+        raise DataError("implied relations have no test facts")
     points = []
     for fraction in fractions:
         reduced = subsample_relation_facts(train, implied, fraction, options.seed)

@@ -79,16 +79,6 @@ def effective_tuples(params: ModelParams, variant: str, rows=None) -> np.ndarray
     return sigmoid(pre)
 
 
-def tuple_embedding(params: ModelParams, tup: int, variant: str) -> np.ndarray:
-    if variant == "f":
-        return params.tuple_pre[tup]
-    return sigmoid(params.tuple_pre[tup])
-
-
-def score(params: ModelParams, relation: int, tup: int, variant: str) -> float:
-    return float(params.relations[relation] @ tuple_embedding(params, tup, variant))
-
-
 def recon_pair_loss(s):
     """Ranking loss for one (negative, positive) pair: softplus(s), s = r.(t_neg - t_pos).
 
@@ -125,7 +115,7 @@ def grounded_rule_loss(params: ModelParams, rule: Rule, tuples, delta: float,
     diff = params.relations[rule.antecedent] - params.relations[rule.consequent]
     total = 0.0
     for tup in tuples:
-        emb = tuple_embedding(params, tup, variant)
+        emb = effective_tuples(params, variant, tup)
         if variant == "f" and np.any(emb < 0):
             raise ValueError(f"tuple {tup} has negative components; the Jensen "
                              "bound requires a non-negative embedding space")
@@ -321,28 +311,35 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names) -> N
 
 
 def load_embeddings(path):
-    """Inverse of save_embeddings; returns (params, relation_names, tuple_names)."""
-    relations, rel_names = [], []
-    tuples, tup_names = [], []
+    """Inverse of save_embeddings; returns (params, relation_names, tuple_names).
+
+    A bad header, a malformed or non-numeric row, or a name repeated within
+    the R or E rows raises ParseError with the line number.
+    """
+    rows = {"R": [], "E": []}
+    names = {"R": {}, "E": {}}  # name -> line number, in file order
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "k":
-            raise ParseError(f"{path}: expected `k <dim>` header")
+        if (len(header) != 2 or header[0] != "k" or not header[1].isdecimal()
+                or int(header[1]) < 1):
+            raise ParseError(f"{path}:1: expected `k <dim>` header with dim >= 1")
         k = int(header[1])
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != k + 2 or parts[0] not in ("R", "E"):
+            if len(parts) != k + 2 or parts[0] not in rows:
                 raise ParseError(f"{path}:{lineno}: malformed embedding line")
-            vec = np.array([float(v) for v in parts[2:]])
-            if parts[0] == "R":
-                rel_names.append(parts[1])
-                relations.append(vec)
-            else:
-                tup_names.append(parts[1])
-                tuples.append(vec)
-    if not relations or not tuples:
+            tag, name = parts[0], parts[1]
+            if name in names[tag]:
+                raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
+                                 f"(first on line {names[tag][name]})")
+            names[tag][name] = lineno
+            try:
+                rows[tag].append(np.array([float(v) for v in parts[2:]]))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+    if not rows["R"] or not rows["E"]:
         raise ParseError(f"{path}: checkpoint has no relations or no tuples")
-    params = ModelParams(np.vstack(relations), np.vstack(tuples))
-    return params, rel_names, tup_names
+    params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))
+    return params, list(names["R"]), list(names["E"])

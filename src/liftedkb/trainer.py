@@ -1,4 +1,4 @@
-"""BPR negative sampling, lazy ADAM, the epoch loop, and checkpoint sidecars.
+"""BPR negative sampling, lazy ADAM, and the epoch loop.
 
 One epoch is one shuffled pass over the positive facts, each paired with a
 freshly sampled unobserved tuple for the same relation. When training the
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .data import FactStore
-from .errors import NumericalError, ParseError
+from .errors import DataError, NumericalError
 from .model import Batch, Gradients, LossBreakdown, ModelConfig, ModelParams
 
 log = logging.getLogger(__name__)
@@ -134,7 +134,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
     batch). Deterministic given (seed, options, inputs).
     """
     if len(store) == 0:
-        raise ValueError("fact store is empty")
+        raise DataError("fact store is empty")
     if config.variant == "fsl" and not rules:
         log.warning("variant fsl with no rules: training reduces to fs")
     active_rules = list(rules) if (rules and config.variant == "fsl") else []
@@ -203,37 +203,3 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
                 cb(epoch_stats)
     return TrainResult(params=params, adam=state, stats=stats)
 
-
-def save_adam_state(path, state: AdamState, relation_names, tuple_names) -> None:
-    """ADAM sidecar in the embedding text scheme (RM/RV/EM/EV row tags)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"k {state.m_rel.shape[1]}\n")
-        fh.write(f"step {state.step}\n")
-        for tag, matrix, names in (("RM", state.m_rel, relation_names),
-                                   ("RV", state.v_rel, relation_names),
-                                   ("EM", state.m_tup, tuple_names),
-                                   ("EV", state.v_tup, tuple_names)):
-            for name, row in zip(names, matrix):
-                fh.write(f"{tag} {name} {model._format_row(row)}\n")
-
-
-def load_adam_state(path) -> AdamState:
-    blocks = {"RM": [], "RV": [], "EM": [], "EV": []}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "k":
-            raise ParseError(f"{path}: expected `k <dim>` header")
-        k = int(header[1])
-        step_line = fh.readline().split()
-        if len(step_line) != 2 or step_line[0] != "step":
-            raise ParseError(f"{path}: expected `step <n>` line")
-        step = int(step_line[1])
-        for lineno, line in enumerate(fh, start=3):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] not in blocks or len(parts) != k + 2:
-                raise ParseError(f"{path}:{lineno}: malformed state line")
-            blocks[parts[0]].append(np.array([float(v) for v in parts[2:]]))
-    return AdamState(np.vstack(blocks["RM"]), np.vstack(blocks["RV"]),
-                     np.vstack(blocks["EM"]), np.vstack(blocks["EV"]), step=step)

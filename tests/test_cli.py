@@ -40,9 +40,9 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert run_train(corpus_files, out) == 0
         assert (out / "checkpoint.txt").exists()
-        assert (out / "adam_state.txt").exists()
         assert (out / "metrics.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "checkpoint.txt"), str(out / "metrics.csv")]
         assert manifest["flags"]["k"] == 6
         assert manifest["flags"]["alpha"] == 0.01
         assert manifest["flags"]["learning_rate"] == 0.005
@@ -68,7 +68,6 @@ class TestTrainCommand:
         assert run_train(corpus_files, out1, variant="fs", seed=3) == 0
         assert run_train(corpus_files, out2, variant="fs", seed=3) == 0
         assert (out1 / "checkpoint.txt").read_bytes() == (out2 / "checkpoint.txt").read_bytes()
-        assert (out1 / "adam_state.txt").read_bytes() == (out2 / "adam_state.txt").read_bytes()
 
     def test_fsl_without_rules_is_usage_error(self, corpus_files, tmp_path):
         args = ["train", "--facts", str(corpus_files["facts"]),
@@ -99,6 +98,33 @@ class TestTrainCommand:
         args = ["train", "--facts", str(tmp_path / "absent.tsv"),
                 "--out", str(tmp_path / "x"), "--epochs", "1"]
         assert main(args) == 1
+
+    def test_invalid_flag_value_is_usage_error(self, corpus_files, tmp_path, capsys):
+        args = ["train", "--facts", str(corpus_files["facts"]),
+                "--out", str(tmp_path / "x"), "--epochs", "1", "--k", "0"]
+        assert main(args) == 1
+        assert "usage error: k must be >= 1" in capsys.readouterr().err
+
+    def test_whitespace_in_name_is_data_error(self, tmp_path, capsys):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("r\ta|b\nborn in\tA|B\n", encoding="utf-8")
+        args = ["train", "--facts", str(facts), "--out", str(tmp_path / "x"),
+                "--epochs", "1", "--k", "2"]
+        assert main(args) == 2
+        assert "facts.tsv:2: whitespace in name 'born in'" in capsys.readouterr().err
+
+    def test_undecodable_facts_file_is_data_error(self, tmp_path):
+        facts = tmp_path / "facts.tsv"
+        facts.write_bytes(b"r\ta\xff|b\n")
+        args = ["train", "--facts", str(facts), "--out", str(tmp_path / "x"), "--epochs", "1"]
+        assert main(args) == 2
+
+    def test_internal_value_error_propagates(self, corpus_files, tmp_path, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise ValueError("internal fault")
+        monkeypatch.setattr("liftedkb.trainer.train", broken_train)
+        with pytest.raises(ValueError, match="internal fault"):
+            run_train(corpus_files, tmp_path / "run")
 
 
 class TestEvalCommand:
@@ -138,6 +164,24 @@ class TestEvalCommand:
                      "--test", str(bad), "--out", str(tmp_path / "e.csv")])
         assert code == 2
         assert "no_such_relation" in capsys.readouterr().err
+
+    def test_duplicate_checkpoint_name_is_data_error(self, corpus_files, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_train(corpus_files, out, epochs=0)
+        lines = (out / "checkpoint.txt").read_text(encoding="utf-8").splitlines()
+        lines.insert(2, lines[1])
+        (out / "checkpoint.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
+                     "--test", str(corpus_files["test"]), "--out", str(tmp_path / "e.csv")]) == 2
+        assert "checkpoint.txt:3: duplicate R name" in capsys.readouterr().err
+
+    def test_test_fact_in_training_facts_is_data_error(self, corpus_files, tmp_path):
+        out = tmp_path / "run"
+        run_train(corpus_files, out, epochs=0)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
+                     "--test", str(corpus_files["facts"]),
+                     "--train-facts", str(corpus_files["facts"]),
+                     "--out", str(tmp_path / "e.csv")]) == 2
 
     def test_empty_test_file_is_data_error(self, corpus_files, tmp_path):
         out = tmp_path / "run"
@@ -233,6 +277,22 @@ class TestAnalyzeCommand:
         assert rows[0] == ["fraction", "weighted_map"]
         assert len(rows) == 5
         assert [float(r[0]) for r in rows[1:]] == [0.0, 0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("fractions", ["0,x", "0.5,0.25", "0,0"])
+    def test_bad_fractions_are_usage_errors(self, corpus_files, tmp_path, fractions):
+        assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
+                     "--test", str(corpus_files["test"]),
+                     "--rules", str(corpus_files["rules"]), "--fractions", fractions,
+                     "--epochs", "1", "--out", str(tmp_path / "zs.csv")]) == 1
+
+    def test_empty_implied_relations_file_is_data_error(self, corpus_files, tmp_path):
+        implied = tmp_path / "implied.txt"
+        implied.write_text("\n", encoding="utf-8")
+        assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
+                     "--test", str(corpus_files["test"]),
+                     "--rules", str(corpus_files["rules"]),
+                     "--implied-relations", str(implied),
+                     "--epochs", "1", "--k", "2", "--out", str(tmp_path / "zs.csv")]) == 2
 
     def test_missing_mode_inputs_usage_error(self, corpus_files, tmp_path):
         assert main(["analyze", "asymmetry", "--rules", str(corpus_files["rules"]),

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from liftedkb.data import (FactStore, Rule, Vocab, holdout_split, load_facts,
-                           load_rules, save_rules)
+                           load_facts_with_vocab, load_rules, save_rules)
 from liftedkb.errors import DataError, ParseError
 
 
@@ -34,6 +36,24 @@ class TestLoadFacts:
         with pytest.raises(ParseError):
             load_facts(path)
 
+    @pytest.mark.parametrize("text, lineno, name", [
+        ("r\ta|b\nborn in\tA|B\nborn in\tC|D\n", 2, "born in"),
+        ("r\ta|b\nr\tc|d\n\nq\tA B\n", 4, "A B"),
+        ("r\ta|b\nq\tA\u00a0B\n", 2, "A\u00a0B"),
+    ], ids=["relation-space", "tuple-space", "tuple-nbsp"])
+    def test_whitespace_in_name_reports_first_line(self, tmp_path, text, lineno, name):
+        path = write(tmp_path, "f.tsv", text)
+        message = f"f.tsv:{lineno}: whitespace in name {name!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_facts(path)
+
+    def test_crlf_line_endings_read_as_lf(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"r\ta|b\r\nq\tc|d\r\n")
+        store = load_facts(path)
+        assert store.relations.names == ["r", "q"]
+        assert store.tuples.names == ["a|b", "c|d"]
+
     def test_ids_assigned_in_first_seen_order(self, tmp_path):
         path = write(tmp_path, "f.tsv", "b\tx\na\ty\nb\tz\n")
         store = load_facts(path)
@@ -59,6 +79,23 @@ class TestLoadFacts:
         for r in range(len(store.relations)):
             for t in store.tuples_of(r):
                 assert (r, t) in store
+
+
+class TestLoadFactsWithVocab:
+    def test_ids_follow_the_given_vocabularies(self, tmp_path):
+        path = write(tmp_path, "f.tsv", "a\tx\n\nb\ty\n")
+        store = load_facts_with_vocab(path, Vocab(["b", "a"]), Vocab(["y", "x"]))
+        assert store.facts == [(1, 1), (0, 0)]
+
+    def test_malformed_line_reports_line_number(self, tmp_path):
+        path = write(tmp_path, "f.tsv", "a\tx\n\nonlyOneField\n")
+        with pytest.raises(ParseError, match="f.tsv:3:"):
+            load_facts_with_vocab(path, Vocab(["a"]), Vocab(["x"]))
+
+    def test_unknown_names_listed_once_sorted(self, tmp_path):
+        path = write(tmp_path, "f.tsv", "a\tz\nq\tx\nq\tz\n")
+        with pytest.raises(DataError, match="vocabulary: q, z$"):
+            load_facts_with_vocab(path, Vocab(["a"]), Vocab(["x"]))
 
 
 class TestLoadRules:

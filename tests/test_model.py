@@ -5,6 +5,7 @@ from helpers import (away_from_hinge_kinks, finite_difference_gradients,
                      random_instance, relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
+from liftedkb.errors import ParseError
 from liftedkb.model import (Batch, LossBreakdown, ModelConfig, ModelParams,
                             grounded_rule_loss, implication_pair_loss,
                             lifted_rule_loss, recon_pair_loss)
@@ -17,16 +18,16 @@ def params_of(relations, tuple_pre):
 class TestTupleEmbedding:
     def test_sigmoid_at_zero(self):
         p = params_of([[1.0, 1.0]], [[0.0, 0.0]])
-        assert model.tuple_embedding(p, 0, "fs") == pytest.approx([0.5, 0.5])
+        assert model.effective_tuples(p, "fs")[0] == pytest.approx([0.5, 0.5])
 
     def test_identity_for_variant_f(self):
         p = params_of([[1.0, 1.0]], [[0.0, 0.0]])
-        assert model.tuple_embedding(p, 0, "f") == pytest.approx([0.0, 0.0])
+        assert model.effective_tuples(p, "f")[0] == pytest.approx([0.0, 0.0])
 
     def test_sigmoid_of_minus_eight(self):
         # frozen: 1 / (1 + e^8)
         p = params_of([[1.0]], [[-8.0]])
-        assert model.tuple_embedding(p, 0, "fs")[0] == pytest.approx(
+        assert model.effective_tuples(p, "fs")[0, 0] == pytest.approx(
             0.0003353501304664781, rel=1e-12)
 
     def test_range_strictly_in_unit_interval(self):
@@ -37,17 +38,21 @@ class TestTupleEmbedding:
 
 
 class TestScore:
+    @staticmethod
+    def score(p, relation, tup, variant):
+        return float(p.relations[relation] @ model.effective_tuples(p, variant)[tup])
+
     def test_symmetric_cancellation(self):
         p = params_of([[0.5, -0.5]], [[1.0, 1.0]])
-        assert model.score(p, 0, 0, "f") == pytest.approx(0.0)
+        assert self.score(p, 0, 0, "f") == pytest.approx(0.0)
 
     def test_unit_projection(self):
         p = params_of([[1.0, 0.0]], [[0.3, 0.9]])
-        assert model.score(p, 0, 0, "f") == pytest.approx(0.3)
+        assert self.score(p, 0, 0, "f") == pytest.approx(0.3)
 
     def test_fs_sigmoid_midpoint(self):
         p = params_of([[0.2, 0.4]], [[0.0, 0.0]])
-        assert model.score(p, 0, 0, "fs") == pytest.approx(0.3)
+        assert self.score(p, 0, 0, "fs") == pytest.approx(0.3)
 
 
 class TestReconPairLoss:
@@ -233,6 +238,35 @@ class TestPersistence:
         path = tmp_path / "ckpt.txt"
         model.save_embeddings(path, p, ["r"], ["t"])
         assert path.read_text().splitlines()[0] == "k 2"
+
+    def test_relation_and_tuple_may_share_a_name(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        path.write_text("k 1\nR x 0.5\nE x 0.25\n", encoding="utf-8")
+        loaded, rel_names, tup_names = model.load_embeddings(path)
+        assert (rel_names, tup_names) == (["x"], ["x"])
+        assert loaded.relations[0, 0] == 0.5 and loaded.tuple_pre[0, 0] == 0.25
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("k 1\nR a 0.1\nR a 0.2\nE t 0.3\n", 3),
+        ("k 1\nR a 0.1\nE t 0.2\n\nE t 0.3\n", 5),
+    ], ids=["relation", "tuple"])
+    def test_duplicate_name_names_second_line(self, tmp_path, text, lineno):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"ckpt.txt:{lineno}: duplicate"):
+            model.load_embeddings(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("k 2\nR a 0.1 0.2\nE t 0.3 oops\n", ":3:"),
+        ("k two\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k 0\nR a\nE t\n", ":1:"),
+        ("k\nR a 0.1\nE t 0.2\n", ":1:"),
+    ], ids=["non-numeric", "k-word", "k-zero", "k-missing"])
+    def test_bad_value_or_header_is_parse_error(self, tmp_path, text, where):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=where):
+            model.load_embeddings(path)
 
 
 class TestModelConfig:

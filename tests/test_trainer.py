@@ -217,22 +217,3 @@ class TestGoldenDigest:
         assert result.adam.step == 20
         assert digest.hexdigest() == self.DIGESTS[variant]
 
-
-class TestAdamPersistence:
-    def test_sidecar_round_trip(self, tmp_path):
-        corpus = clustered_corpus(n_clusters=2, relations_per_cluster=4,
-                                  tuples_per_cluster=10, n_rules=2, seed=1)
-        result = train(corpus.store, corpus.rules,
-                       ModelConfig(k=4, variant="fsl"),
-                       TrainOptions(epochs=3, batch_size=32, seed=0))
-        path = tmp_path / "adam.txt"
-        trainer.save_adam_state(path, result.adam,
-                                corpus.store.relations.names,
-                                corpus.store.tuples.names)
-        loaded = trainer.load_adam_state(path)
-        assert loaded.step == result.adam.step
-        for got, want in ((loaded.m_rel, result.adam.m_rel),
-                          (loaded.v_rel, result.adam.v_rel),
-                          (loaded.m_tup, result.adam.m_tup),
-                          (loaded.v_tup, result.adam.v_tup)):
-            assert np.array_equal(got, want)
