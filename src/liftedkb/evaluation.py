@@ -1,15 +1,22 @@
 """Ranking metrics, the zero-shot protocol, and the asymmetry analysis.
 
-Candidate pool per relation: every tuple not observed with that relation in
-training (test positives therefore included). Ranking sorts by score
-descending with ties broken by ascending tuple id, so identical scores
-always yield identical rankings.
+Candidate pool per relation: the complement of its training row, i.e. every
+tuple not observed with that relation in training (test positives therefore
+included). The pool is ranked by score descending with ties broken by
+ascending tuple id, so identical scores always yield identical rankings.
+
+`weighted_map` is the one ranking kernel. It computes the effective tuple
+embeddings (the sigmoid, for FS/FSL) once per call and scores `BLOCK`
+relations per matrix product. A positive's rank is 1, plus the number of
+pool scores strictly greater than its own (a sort and `searchsorted`), plus
+the number of pool ties with a smaller tuple id (counted only for positives
+whose score is tied).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -26,12 +33,31 @@ log = logging.getLogger(__name__)
 # start deep in negative territory.
 ZERO_SHOT_INIT = (-8.1, -7.9)
 
+# Relations scored per matrix product in `weighted_map`: enough for the
+# product to run at matrix-matrix speed, few enough that the |T| x BLOCK
+# score block stays about the size of the |T| x k effective-tuple matrix.
+BLOCK = 64
+
 
 @dataclass
 class RankingTask:
+    """Rank `positives` among the tuples 0..n_tuples-1 not in `excluded`.
+
+    `excluded` holds the relation's training tuples as a sorted int64 array;
+    the candidate pool is its complement.
+    """
     relation: int
     positives: set[int]
-    pool: list[int]
+    excluded: np.ndarray
+    n_tuples: int
+
+    @property
+    def pool(self) -> np.ndarray:
+        """The candidate pool as tuple ids, for code that counts pool items
+        (perfbench's tracer); ranking never builds it."""
+        keep = np.ones(self.n_tuples, dtype=bool)
+        keep[self.excluded] = False
+        return np.flatnonzero(keep)
 
 
 @dataclass
@@ -59,46 +85,58 @@ class ZeroShotCurve:
     points: list[tuple[float, float]]  # (retained fraction, weighted MAP)
 
 
-def average_precision(ranked, positives) -> float:
-    """Mean precision-at-rank over the positives of one ranked list.
+def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
+    """AP of `task.positives` in its pool ranked by `scores` (one per tuple).
 
-    `ranked` is a list of (tuple_id, score) already sorted by descending
-    score, ties by ascending id. Returns 0 for an empty positive set.
+    Precisions `hits / rank` are summed in rank order with Python `sum`, so
+    the value is the one a walk down the full ranking would give, bit for bit.
     """
-    ranked_ids = {t for t, _ in ranked}
-    missing = set(positives) - ranked_ids
-    if missing:
-        raise ValueError(f"positives not present in ranking: {sorted(missing)}")
-    if not positives:
+    n = len(scores)
+    if task.n_tuples != n:
+        raise DataError(f"relation {task.relation}: task has {task.n_tuples} tuples, "
+                        f"model has {n}")
+    if not task.positives:
         return 0.0
-    hits = 0
-    precisions = []
-    for rank, (tup, _) in enumerate(ranked, start=1):
-        if tup in positives:
-            hits += 1
-            precisions.append(hits / rank)
-    return sum(precisions) / len(positives)
-
-
-def rank_pool(params: ModelParams, relation: int, pool, variant: str):
-    """Score a candidate pool for one relation and sort (desc score, asc id)."""
-    pool = np.asarray(pool, dtype=np.int64)
-    scores = model.effective_tuples(params, variant, pool) @ params.relations[relation]
-    order = np.lexsort((pool, -scores))
-    return [(int(pool[i]), float(scores[i])) for i in order]
+    positives = np.array(sorted(task.positives), dtype=np.int64)
+    if positives[0] < 0 or positives[-1] >= n:
+        raise DataError(f"relation {task.relation}: positive tuple ids outside 0..{n - 1}")
+    clash = np.intersect1d(positives, task.excluded)
+    if clash.size:
+        shown = ", ".join(map(str, clash[:10].tolist())) + (", ..." if clash.size > 10 else "")
+        raise DataError(f"relation {task.relation}: {clash.size} test tuple(s) are also "
+                        f"training tuples and so not in the pool: {shown}")
+    in_pool = np.ones(n, dtype=bool)
+    in_pool[task.excluded] = False
+    pool = np.sort(scores[in_pool])
+    own = scores[positives]
+    upper = np.searchsorted(pool, own, side="right")
+    ranks = 1 + len(pool) - upper
+    for i in np.flatnonzero(upper - np.searchsorted(pool, own, side="left") > 1):
+        before = positives[i]
+        ranks[i] += np.count_nonzero(scores[:before][in_pool[:before]] == own[i])
+    ranks.sort()
+    precisions = np.arange(1, len(ranks) + 1) / ranks
+    return sum(precisions.tolist()) / len(positives)
 
 
 def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
-    """One RankingTask per relation with test facts, pooled against train."""
+    """One RankingTask per relation with test facts, pooled against train.
+
+    A test fact that is also a training fact could never be ranked; the first
+    one, in test order, is reported by name.
+    """
+    clash = next((fact for fact in test.facts if fact in train), None)
+    if clash is not None:
+        raise DataError(f"test fact is also a training fact: "
+                        f"{train.relations.name(clash[0])}\t{train.tuples.name(clash[1])}")
     n_tuples = len(train.tuples)
     tasks = []
     for rid in range(len(train.relations)):
         positives = set(test.tuples_of(rid))
         if not positives:
             continue
-        observed = set(train.tuples_of(rid))
-        pool = [t for t in range(n_tuples) if t not in observed]
-        tasks.append(RankingTask(relation=rid, positives=positives, pool=pool))
+        excluded = np.unique(np.asarray(train.tuples_of(rid), dtype=np.int64))
+        tasks.append(RankingTask(rid, positives, excluded, n_tuples))
     return tasks
 
 
@@ -108,15 +146,19 @@ def weighted_map(tasks, params: ModelParams, variant: str):
     Weighted by each relation's test-fact count; order of tasks does not
     affect the result beyond float summation of independent terms.
     """
+    tasks = list(tasks)
     if not tasks:
         raise ValueError("no ranking tasks given")
+    effective = model.effective_tuples(params, variant)
     rows = []
-    for task in tasks:
-        if not set(task.positives) <= set(task.pool):
-            raise DataError(f"relation {task.relation}: positives not contained in pool")
-        ranked = rank_pool(params, task.relation, task.pool, variant)
-        ap = average_precision(ranked, task.positives)
-        rows.append(RelationAP(task.relation, len(task.positives), ap))
+    for start in range(0, len(tasks), BLOCK):
+        block = tasks[start:start + BLOCK]
+        scores = effective @ params.relations[[task.relation for task in block]].T
+        if np.isnan(scores).any():
+            raise DataError("relation scores contain NaN: the model has non-finite parameters")
+        for j, task in enumerate(block):
+            rows.append(RelationAP(task.relation, len(task.positives),
+                                   _average_precision(scores[:, j], task)))
     rows.sort(key=lambda r: (-r.n_test, r.relation))
     total = sum(r.n_test for r in rows)
     wmap = sum(r.n_test * r.average_precision for r in rows) / total

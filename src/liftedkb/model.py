@@ -292,22 +292,20 @@ def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,
     return ModelParams(relations, tuple_pre)
 
 
-def _format_row(vec) -> str:
-    return " ".join(format(v, ".17g") for v in vec)
-
-
 def save_embeddings(path, params: ModelParams, relation_names, tuple_names) -> None:
     """Text persistence: `k <dim>` header, `R <name> <reals>` / `E <name> <reals>` lines.
 
     Tuple lines store pre-activations. 17 significant digits make the
     round trip bit-exact for float64. Names must not contain whitespace.
     """
+    k = params.relations.shape[1]
+    row_format = " ".join(["%.17g"] * k)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"k {params.relations.shape[1]}\n")
-        for name, row in zip(relation_names, params.relations):
-            fh.write(f"R {name} {_format_row(row)}\n")
-        for name, row in zip(tuple_names, params.tuple_pre):
-            fh.write(f"E {name} {_format_row(row)}\n")
+        fh.write(f"k {k}\n")
+        for tag, names, matrix in (("R", relation_names, params.relations),
+                                   ("E", tuple_names, params.tuple_pre)):
+            for name, row in zip(names, matrix):
+                fh.write(f"{tag} {name} {row_format % tuple(row.tolist())}\n")
 
 
 def load_embeddings(path):

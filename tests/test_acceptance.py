@@ -13,7 +13,7 @@ from helpers import (away_from_hinge_kinks, brute_force_average_precision,
 from liftedkb import evaluation, model, trainer
 from liftedkb.cli import main
 from liftedkb.data import Rule, holdout_split, save_rules
-from liftedkb.evaluation import build_tasks, rank_pool, weighted_map, zero_shot_sweep
+from liftedkb.evaluation import build_tasks, weighted_map, zero_shot_sweep
 from liftedkb.model import ModelConfig, ModelParams
 from liftedkb.synthetic import clustered_corpus, random_corpus
 from liftedkb.trainer import TrainOptions, train
@@ -117,11 +117,13 @@ def test_criterion_4_metric_oracle():
         for r in range(n_rel):
             npos = int(rng.integers(1, n_tup))
             positives = set(rng.choice(n_tup, size=npos, replace=False).tolist())
-            tasks.append(evaluation.RankingTask(r, positives, list(range(n_tup))))
+            tasks.append(evaluation.RankingTask(r, positives, np.array([], dtype=np.int64),
+                                                n_tup))
         wmap, _ = weighted_map(tasks, params, "f")
         per_task = []
+        effective = model.effective_tuples(params, "f")
         for task in tasks:
-            scores = dict(rank_pool(params, task.relation, task.pool, "f"))
+            scores = dict(enumerate((effective @ params.relations[task.relation]).tolist()))
             per_task.append((len(task.positives), task.relation,
                              brute_force_average_precision(scores, task.positives)))
         # combine in the same documented order (descending weight, relation id)

@@ -175,13 +175,16 @@ class TestEvalCommand:
                      "--test", str(corpus_files["test"]), "--out", str(tmp_path / "e.csv")]) == 2
         assert "checkpoint.txt:3: duplicate R name" in capsys.readouterr().err
 
-    def test_test_fact_in_training_facts_is_data_error(self, corpus_files, tmp_path):
+    def test_test_fact_in_training_facts_is_data_error(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
         run_train(corpus_files, out, epochs=0)
         assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
                      "--test", str(corpus_files["facts"]),
                      "--train-facts", str(corpus_files["facts"]),
                      "--out", str(tmp_path / "e.csv")]) == 2
+        # the first clashing fact is the file's first line, named as written
+        first = corpus_files["facts"].read_text(encoding="utf-8").splitlines()[0]
+        assert f"training fact: {first}\n" in capsys.readouterr().err
 
     def test_empty_test_file_is_data_error(self, corpus_files, tmp_path):
         out = tmp_path / "run"

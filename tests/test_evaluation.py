@@ -2,78 +2,90 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_average_precision
-from liftedkb import evaluation, trainer
+from liftedkb import evaluation, model, trainer
 from liftedkb.data import FactStore, Rule
-from liftedkb.evaluation import (RankingTask, average_precision, build_tasks,
-                                 rank_pool, subsample_relation_facts,
+from liftedkb.errors import DataError
+from liftedkb.evaluation import (RankingTask, build_tasks, subsample_relation_facts,
                                  weighted_map, zero_shot_sweep)
 from liftedkb.model import ModelConfig, ModelParams
 from liftedkb.synthetic import clustered_corpus
 from liftedkb.trainer import TrainOptions
 
 
+def task(relation, positives, n_tuples, excluded=()):
+    return RankingTask(relation, set(positives), np.array(sorted(excluded), dtype=np.int64),
+                       n_tuples)
+
+
+def ranked_ap(scores, positives, excluded=()):
+    """AP of `positives` when the tuples are scored `scores`: a one-dimensional
+    F model with relation weight 1 makes each tuple's score its own value."""
+    params = ModelParams(np.ones((1, 1)), np.array(scores, dtype=float)[:, None])
+    _, rows = weighted_map([task(0, positives, len(scores), excluded)], params, "f")
+    return rows[0].average_precision
+
+
+def oracle_ap(params, variant, t):
+    """Brute-force AP from scores computed here, independent of the kernel."""
+    scores = model.effective_tuples(params, variant) @ params.relations[t.relation]
+    pool = sorted(set(range(t.n_tuples)) - set(t.excluded.tolist()))
+    return brute_force_average_precision({i: float(scores[i]) for i in pool}, t.positives)
+
+
 class TestAveragePrecision:
     def test_pos_neg_pos(self):
-        ranked = [(0, 3.0), (1, 2.0), (2, 1.0)]
-        assert average_precision(ranked, {0, 2}) == pytest.approx((1.0 + 2 / 3) / 2)
+        assert ranked_ap([3.0, 2.0, 1.0], {0, 2}) == pytest.approx((1.0 + 2 / 3) / 2)
 
     def test_perfect_ranking(self):
-        ranked = [(0, 5.0), (1, 4.0), (2, 3.0), (3, 2.0)]
-        assert average_precision(ranked, {0, 1}) == 1.0
+        assert ranked_ap([5.0, 4.0, 3.0, 2.0], {0, 1}) == 1.0
 
     def test_single_positive_last(self):
-        ranked = [(i, 10.0 - i) for i in range(5)]
-        assert average_precision(ranked, {4}) == pytest.approx(1 / 5)
+        assert ranked_ap([10.0 - i for i in range(5)], {4}) == pytest.approx(1 / 5)
 
     def test_no_positives_is_zero(self):
-        assert average_precision([(0, 1.0)], set()) == 0.0
+        params = ModelParams(np.ones((2, 1)), np.array([[1.0], [2.0]]))
+        _, rows = weighted_map([task(0, {1}, 2), task(1, set(), 2)], params, "f")
+        assert rows[1].relation == 1 and rows[1].average_precision == 0.0
 
     def test_missing_positive_errors(self):
-        with pytest.raises(ValueError):
-            average_precision([(0, 1.0)], {7})
+        with pytest.raises(DataError, match="outside"):
+            ranked_ap([1.0], {7})
 
     def test_range_and_perfect_iff_front_loaded(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(2, 10))
-            ids = list(range(n))
             scores = rng.normal(size=n)
-            order = sorted(ids, key=lambda i: (-scores[i], i))
-            ranked = [(i, float(scores[i])) for i in order]
+            order = sorted(range(n), key=lambda i: (-scores[i], i))
             k = int(rng.integers(1, n))
             positives = set(rng.choice(n, size=k, replace=False).tolist())
-            ap = average_precision(ranked, positives)
+            ap = ranked_ap(scores, positives)
             assert 0.0 < ap <= 1.0
-            front = {t for t, _ in ranked[:len(positives)]}
-            assert (ap == 1.0) == (front == positives)
+            assert (ap == 1.0) == (set(order[:len(positives)]) == positives)
 
 
 class TestRankPool:
     def test_tie_break_ascending_id(self):
-        params = ModelParams(np.array([[0.0]]), np.zeros((4, 1)))
-        ranked = rank_pool(params, 0, [3, 1, 2, 0], "f")
-        assert [t for t, _ in ranked] == [0, 1, 2, 3]
+        # all four tuples tie, so tuple i ranks i + 1; an excluded tuple
+        # drops out of the ranking ahead of the later ones
+        for i in range(4):
+            assert ranked_ap([0.0] * 4, {i}) == 1 / (i + 1)
+        assert ranked_ap([0.0] * 4, {3}, excluded={1}) == 1 / 3
 
     def test_sorted_by_score(self):
-        params = ModelParams(np.array([[1.0]]), np.array([[0.1], [0.9], [0.5]]))
-        ranked = rank_pool(params, 0, [0, 1, 2], "f")
-        assert [t for t, _ in ranked] == [1, 2, 0]
+        # descending score order is 1, 2, 0
+        for tup, rank in ((1, 1), (2, 2), (0, 3)):
+            assert ranked_ap([0.1, 0.9, 0.5], {tup}) == 1 / rank
 
 
 class TestWeightedMap:
-    def make_params(self, scores_by_relation):
-        # one-dimensional model: relation weight 1, tuple value = score
-        n_tup = len(scores_by_relation[0])
-        rel = np.ones((len(scores_by_relation), 1))
-        return rel, n_tup
-
     def test_hand_weighted_combination(self):
         # relation 0: AP 0.5 with 2 test facts; relation 1: AP 1.0 with 1
         params = ModelParams(np.array([[1.0], [1.0]]),
                              np.array([[4.0], [3.0], [2.0], [1.0]]))
         tasks = [
-            RankingTask(0, positives={0, 3}, pool=[0, 1, 2, 3]),   # AP (1 + 2/4)/2
-            RankingTask(1, positives={0}, pool=[0, 1, 2, 3]),      # AP 1.0
+            task(0, {0, 3}, 4),   # AP (1 + 2/4)/2
+            task(1, {0}, 4),      # AP 1.0
         ]
         wmap, rows = weighted_map(tasks, params, "f")
         ap0 = (1.0 + 2 / 4) / 2
@@ -81,15 +93,13 @@ class TestWeightedMap:
 
     def test_single_relation_equals_its_ap(self):
         params = ModelParams(np.array([[1.0]]), np.array([[2.0], [1.0]]))
-        tasks = [RankingTask(0, positives={1}, pool=[0, 1])]
-        wmap, rows = weighted_map(tasks, params, "f")
+        wmap, rows = weighted_map([task(0, {1}, 2)], params, "f")
         assert wmap == rows[0].average_precision
 
     def test_invariant_to_task_order(self):
         rng = np.random.default_rng(1)
         params = ModelParams(rng.normal(size=(3, 2)), rng.normal(size=(6, 2)))
-        tasks = [RankingTask(r, positives={r, r + 3}, pool=list(range(6)))
-                 for r in range(3)]
+        tasks = [task(r, {r, r + 3}, 6) for r in range(3)]
         w1, _ = weighted_map(tasks, params, "fs")
         w2, _ = weighted_map(list(reversed(tasks)), params, "fs")
         assert w1 == pytest.approx(w2, rel=1e-15)
@@ -104,14 +114,11 @@ class TestWeightedMap:
             for r in range(n_rel):
                 k = int(rng.integers(1, n_tup))
                 positives = set(rng.choice(n_tup, size=k, replace=False).tolist())
-                tasks.append(RankingTask(r, positives=positives, pool=list(range(n_tup))))
+                tasks.append(task(r, positives, n_tup))
             wmap, rows = weighted_map(tasks, params, "fs")
             expected_total = 0.0
-            for task in tasks:
-                ranked = rank_pool(params, task.relation, task.pool, "fs")
-                scores = {t: s for t, s in ranked}
-                expected_total += len(task.positives) * \
-                    brute_force_average_precision(scores, task.positives)
+            for t in tasks:
+                expected_total += len(t.positives) * oracle_ap(params, "fs", t)
             expected = expected_total / sum(len(t.positives) for t in tasks)
             assert wmap == pytest.approx(expected, rel=1e-15)
 
@@ -119,6 +126,71 @@ class TestWeightedMap:
         params = ModelParams(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError):
             weighted_map([], params, "f")
+
+
+class TestRankingKernel:
+    @pytest.mark.parametrize("variant", ["f", "fs"])
+    def test_blocks_ties_and_exclusions_match_oracle_exactly(self, variant):
+        # 150 relations cross two block boundaries. Integer embeddings in
+        # [-2, 2] with k=2 force score ties, and keep every score exact
+        # whatever order the matrix product sums in.
+        rng = np.random.default_rng(21)
+        n_rel, n_tup = 150, 12
+        assert n_rel > 2 * evaluation.BLOCK
+        params = ModelParams(rng.integers(-2, 3, (n_rel, 2)).astype(float),
+                             rng.integers(-2, 3, (n_tup, 2)).astype(float))
+        tasks = []
+        for r in rng.permutation(n_rel).tolist():
+            ids = rng.permutation(n_tup)
+            n_excl, n_pos = int(rng.integers(0, 5)), int(rng.integers(1, 6))
+            tasks.append(task(r, ids[n_excl:n_excl + n_pos].tolist(), n_tup,
+                              ids[:n_excl].tolist()))
+        assert sum(len(t.excluded) > 0 for t in tasks) > n_rel // 2
+        wmap, rows = weighted_map(tasks, params, variant)
+        expected = {t.relation: oracle_ap(params, variant, t) for t in tasks}
+        assert {row.relation: row.average_precision for row in rows} == expected
+        per_task = [(len(t.positives), t.relation, expected[t.relation]) for t in tasks]
+        per_task.sort(key=lambda x: (-x[0], x[1]))  # the documented summation order
+        assert wmap == (sum(n * ap for n, _, ap in per_task)
+                        / sum(n for n, _, _ in per_task))
+
+    def test_pool_of_only_positives_is_perfect(self):
+        # the positives score lowest, but every other tuple is excluded
+        params = ModelParams(np.ones((1, 1)), np.arange(6.0)[::-1, None])
+        t = task(0, {4, 5}, 6, excluded={0, 1, 2, 3})
+        assert set(t.pool.tolist()) == t.positives
+        _, rows = weighted_map([t], params, "f")
+        assert rows[0].average_precision == 1.0
+
+    @pytest.mark.parametrize("n_rel", [1, 64, 65, 200])
+    def test_effective_tuples_once_per_call(self, monkeypatch, n_rel):
+        calls = []
+        real = model.effective_tuples
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "effective_tuples", counting)
+        rng = np.random.default_rng(3)
+        params = ModelParams(rng.normal(size=(n_rel, 3)), rng.normal(size=(10, 3)))
+        weighted_map([task(r, {r % 10}, 10) for r in range(n_rel)], params, "fs")
+        assert calls == [("fs",)]
+
+    def test_positive_in_training_row_names_relation_and_tuples(self):
+        params = ModelParams(np.ones((4, 1)), np.ones((5, 1)))
+        with pytest.raises(DataError, match=r"relation 3: 2 test tuple\(s\) .*: 1, 4$"):
+            weighted_map([task(3, {0, 1, 4}, 5, excluded={1, 2, 4})], params, "f")
+
+    def test_task_and_model_vocabularies_must_match(self):
+        params = ModelParams(np.ones((1, 1)), np.ones((5, 1)))
+        with pytest.raises(DataError, match="task has 4 tuples, model has 5"):
+            weighted_map([task(0, {0}, 4)], params, "f")
+
+    def test_nan_scores_are_data_error(self):
+        params = ModelParams(np.ones((1, 1)), np.array([[1.0], [np.nan]]))
+        with pytest.raises(DataError, match="NaN"):
+            weighted_map([task(0, {0}, 2)], params, "f")
 
 
 class TestBuildTasks:
@@ -130,8 +202,20 @@ class TestBuildTasks:
         assert len(tasks) == 1
         task = tasks[0]
         assert task.relation == train.relations.id("r")
-        assert set(task.pool) == {train.tuples.id("c")}
-        assert task.positives <= set(task.pool)
+        assert task.excluded.dtype == np.int64
+        assert task.excluded.tolist() == sorted([train.tuples.id("a"), train.tuples.id("b")])
+        assert task.n_tuples == 3
+        assert set(task.pool.tolist()) == {train.tuples.id("c")}
+        assert task.positives <= set(task.pool.tolist())
+
+    def test_test_fact_in_training_is_named(self):
+        train = FactStore.from_named_pairs([("r", "a"), ("r", "b"), ("q", "c")])
+        test = FactStore(train.relations, train.tuples,
+                         [(train.relations.id("q"), train.tuples.id("a")),
+                          (train.relations.id("r"), train.tuples.id("b")),
+                          (train.relations.id("q"), train.tuples.id("c"))])
+        with pytest.raises(DataError, match="training fact: r\tb$"):
+            build_tasks(train, test)
 
 
 class TestAsymmetryReport:

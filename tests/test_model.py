@@ -233,6 +233,21 @@ class TestPersistence:
         assert np.array_equal(loaded.relations, p.relations)
         assert np.array_equal(loaded.tuple_pre, p.tuple_pre)
 
+    def test_written_bytes_pinned(self, tmp_path):
+        # signed zero, the smallest subnormal, 17-digit rounding and a spread
+        # of exponents, in the exact text earlier checkpoints were written in
+        p = ModelParams(np.array([[0.0, -0.0, 5e-324, 1e300],
+                                  [-1e-300, 0.1, 1 / 3, -2.5]]),
+                        np.array([[1e16, 123456789.0, 1e-05, 1.7976931348623157e308]]))
+        path = tmp_path / "ckpt.txt"
+        model.save_embeddings(path, p, ["a", "b"], ["t"])
+        assert path.read_bytes() == (
+            b"k 4\n"
+            b"R a 0 -0 4.9406564584124654e-324 1.0000000000000001e+300\n"
+            b"R b -1e-300 0.10000000000000001 0.33333333333333331 -2.5\n"
+            b"E t 10000000000000000 123456789 1.0000000000000001e-05 "
+            b"1.7976931348623157e+308\n")
+
     def test_header_written(self, tmp_path):
         p = ModelParams(np.zeros((1, 2)), np.zeros((1, 2)))
         path = tmp_path / "ckpt.txt"
