@@ -6,6 +6,10 @@ File formats (stable CLI contracts):
               Names contain no whitespace.
   rule file:  `antecedent => consequent` per line; TAB or space separation
               around the `=>` token.
+
+A `FactStore` holds its facts once, as an (n, 2) int64 array, with a
+per-relation CSR index and an int key set beside it; it costs O(facts)
+whatever the vocabulary sizes, and splits select facts by boolean mask.
 """
 
 from __future__ import annotations
@@ -55,28 +59,38 @@ class Vocab:
 
 
 class FactStore:
-    """Immutable set of observed (relation, tuple) facts with id vocabularies.
+    """Immutable, deduplicated set of observed (relation, tuple) facts.
 
-    Fact order is preserved from construction (deduplicated), so a fact file
-    is itself the canonical vocabulary order. Instances are safe for
-    concurrent read after construction.
+    `facts`: read-only (n, 2) int64 array of (relation id, tuple id) rows in
+    first-seen order, so a fact file is itself the canonical vocabulary order.
+    By relation (CSR): rows `_offsets[r]:_offsets[r + 1]` of `_relation_order`
+    (fact positions sorted stably by relation) and of `_relation_tuples`
+    (their tuple ids) belong to relation r, in fact order.
+    Membership: `keys`, the set of `relation * len(tuples) + tuple`; the
+    vocabularies must not grow after construction. Ids outside them raise.
     """
 
     def __init__(self, relations: Vocab, tuples: Vocab, facts):
         self.relations = relations
         self.tuples = tuples
-        self.facts: list[tuple[int, int]] = []
-        self.fact_set: set[tuple[int, int]] = set()
-        self._by_relation: list[list[int]] = [[] for _ in range(len(relations))]
-        self._by_tuple: list[list[int]] = [[] for _ in range(len(tuples))]
-        for r, t in facts:
-            pair = (int(r), int(t))
-            if pair in self.fact_set:
-                continue
-            self.fact_set.add(pair)
-            self.facts.append(pair)
-            self._by_relation[pair[0]].append(pair[1])
-            self._by_tuple[pair[1]].append(pair[0])
+        pairs = np.array(facts, dtype=np.int64).reshape(-1, 2)
+        n_relations, n_tuples = len(relations), len(tuples)
+        bad = ((pairs < 0) | (pairs >= (n_relations, n_tuples))).any(axis=1)
+        if bad.any():
+            r, t = pairs[np.argmax(bad)].tolist()
+            raise ValueError(f"fact ({r}, {t}) is outside the vocabularies "
+                             f"({n_relations} relations, {n_tuples} tuples)")
+        keys = pairs[:, 0] * n_tuples + pairs[:, 1]
+        self.keys: set[int] = set(keys.tolist())
+        if len(self.keys) < len(pairs):  # keep the first occurrence of each fact
+            pairs = pairs[np.sort(np.unique(keys, return_index=True)[1])]
+        self.facts = pairs
+        self._relation_order = np.argsort(pairs[:, 0], kind="stable")
+        self._relation_tuples = pairs[self._relation_order, 1]
+        self._offsets = np.zeros(n_relations + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs[:, 0], minlength=n_relations), out=self._offsets[1:])
+        for arr in (self.facts, self._relation_order, self._relation_tuples, self._offsets):
+            arr.setflags(write=False)
 
     @classmethod
     def from_named_pairs(cls, pairs) -> "FactStore":
@@ -88,27 +102,31 @@ class FactStore:
         return len(self.facts)
 
     def __contains__(self, pair) -> bool:
-        return pair in self.fact_set
+        r, t = pair
+        n_tuples = len(self.tuples)
+        return (0 <= r < len(self.relations) and 0 <= t < n_tuples
+                and r * n_tuples + t in self.keys)
 
-    def tuples_of(self, relation: int) -> list[int]:
-        return self._by_relation[relation]
+    def positions_of(self, relation: int) -> np.ndarray:
+        """Positions in `facts` of the relation's facts, in fact order (read-only)."""
+        return self._relation_order[self._offsets[relation]:self._offsets[relation + 1]]
 
-    def relations_of(self, tup: int) -> list[int]:
-        return self._by_tuple[tup]
+    def tuples_of(self, relation: int) -> np.ndarray:
+        """The relation's tuple ids in fact order (read-only int64 array)."""
+        return self._relation_tuples[self._offsets[relation]:self._offsets[relation + 1]]
 
     def subset(self, keep) -> "FactStore":
-        """New store with the same vocabularies and a subset of the facts.
-
-        `keep` is a predicate on (relation_id, tuple_id). Fact order is
-        preserved, so id assignment and iteration order are unchanged.
-        """
-        return FactStore(self.relations, self.tuples,
-                         [p for p in self.facts if keep(p)])
+        """New store over the same vocabularies with the facts where the boolean
+        mask `keep` is True, in fact order (so ids and iteration order hold)."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"keep must be a boolean mask of shape ({len(self)},)")
+        return FactStore(self.relations, self.tuples, self.facts[keep])
 
     def save(self, path) -> None:
+        relations, tuples = self.relations.names, self.tuples.names
         with open(path, "w", encoding="utf-8") as fh:
-            for r, t in self.facts:
-                fh.write(f"{self.relations.name(r)}\t{self.tuples.name(t)}\n")
+            fh.writelines(f"{relations[r]}\t{tuples[t]}\n" for r, t in self.facts.tolist())
 
 
 def _read_fact_lines(path) -> list[tuple[int, str, str]]:
@@ -150,19 +168,14 @@ def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
 
     Names absent from the vocabularies are an error; the message lists them.
     """
-    pairs = []
-    unknown = set()
-    for _, rel, tup in _read_fact_lines(path):
-        if rel not in relations:
-            unknown.add(rel)
-        if tup not in tuples:
-            unknown.add(tup)
-        if not unknown:
-            pairs.append((relations.id(rel), tuples.id(tup)))
+    lines = _read_fact_lines(path)
+    unknown = ({rel for _, rel, _ in lines if rel not in relations}
+               | {tup for _, _, tup in lines if tup not in tuples})
     if unknown:
         raise DataError(f"{path}: names missing from checkpoint vocabulary: "
                         + ", ".join(sorted(unknown)))
-    return FactStore(relations, tuples, pairs)
+    return FactStore(relations, tuples,
+                     [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])
 
 
 @dataclass(frozen=True)
@@ -241,21 +254,17 @@ def holdout_split(store: FactStore, test_fraction: float, seed: int) -> DatasetS
     if len(store) == 0:
         raise DataError("cannot split an empty fact store")
     rng = np.random.default_rng(seed)
-    test_pairs: set[tuple[int, int]] = set()
+    in_test = np.zeros(len(store), dtype=bool)
     for rid in range(len(store.relations)):
-        tuples = store.tuples_of(rid)
-        n = len(tuples)
+        positions = store.positions_of(rid)
+        n = len(positions)
         if n < 2:
             continue
         n_test = min(int(round(n * test_fraction)), n - 1)
         if n_test == 0:
             continue
-        chosen = rng.choice(n, size=n_test, replace=False)
-        for i in chosen:
-            test_pairs.add((rid, tuples[i]))
-    train = store.subset(lambda p: p not in test_pairs)
-    test = store.subset(lambda p: p in test_pairs)
-    test_relations = [(rid, len(test.tuples_of(rid)))
-                      for rid in range(len(store.relations))
-                      if test.tuples_of(rid)]
-    return DatasetSplit(train=train, test=test, test_relations=test_relations)
+        in_test[positions[rng.choice(n, size=n_test, replace=False)]] = True
+    test = store.subset(in_test)
+    counts = np.bincount(test.facts[:, 0], minlength=len(store.relations))
+    test_relations = [(rid, count) for rid, count in enumerate(counts.tolist()) if count]
+    return DatasetSplit(train=store.subset(~in_test), test=test, test_relations=test_relations)

@@ -125,18 +125,19 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
     A test fact that is also a training fact could never be ranked; the first
     one, in test order, is reported by name.
     """
-    clash = next((fact for fact in test.facts if fact in train), None)
-    if clash is not None:
-        raise DataError(f"test fact is also a training fact: "
-                        f"{train.relations.name(clash[0])}\t{train.tuples.name(clash[1])}")
     n_tuples = len(train.tuples)
+    keys = [store.facts[:, 0] * n_tuples + store.facts[:, 1] for store in (test, train)]
+    clash = np.flatnonzero(np.isin(*keys))
+    if clash.size:
+        r, t = test.facts[clash[0]].tolist()
+        raise DataError(f"test fact is also a training fact: "
+                        f"{train.relations.name(r)}\t{train.tuples.name(t)}")
     tasks = []
     for rid in range(len(train.relations)):
-        positives = set(test.tuples_of(rid))
-        if not positives:
-            continue
-        excluded = np.unique(np.asarray(train.tuples_of(rid), dtype=np.int64))
-        tasks.append(RankingTask(rid, positives, excluded, n_tuples))
+        positives = test.tuples_of(rid)
+        if len(positives):
+            tasks.append(RankingTask(rid, set(positives.tolist()),
+                                     np.sort(train.tuples_of(rid)), n_tuples))
     return tasks
 
 
@@ -182,11 +183,11 @@ def asymmetry_report(params: ModelParams, rules, train: FactStore, variant: str)
         t_ant = train.tuples_of(rule.antecedent)
         t_cons = train.tuples_of(rule.consequent)
         fwd = bwd = float("nan")
-        if t_ant:
-            emb = model.effective_tuples(params, variant, np.asarray(t_ant))
+        if len(t_ant):
+            emb = model.effective_tuples(params, variant, t_ant)
             fwd = float(np.mean(sigmoid(emb @ params.relations[rule.consequent])))
-        if t_cons:
-            emb = model.effective_tuples(params, variant, np.asarray(t_cons))
+        if len(t_cons):
+            emb = model.effective_tuples(params, variant, t_cons)
             bwd = float(np.mean(sigmoid(emb @ params.relations[rule.antecedent])))
         rows.append(AsymmetryRow(rule, fwd, bwd, len(t_ant), len(t_cons)))
     usable = [r for r in rows if not r.empty]
@@ -203,20 +204,18 @@ def subsample_relation_facts(store: FactStore, relations, fraction: float,
     identical to the input (same facts, same order, same ids).
     """
     rng = np.random.default_rng(seed)
-    dropped: set[tuple[int, int]] = set()
+    drop = np.zeros(len(store), dtype=bool)
     for rid in sorted(relations):
-        tuples = store.tuples_of(rid)
-        n = len(tuples)
+        positions = store.positions_of(rid)
+        n = len(positions)
         keep = int(round(fraction * n))
         if keep >= n:
             continue
-        kept_idx = set(rng.permutation(n)[:keep].tolist())
-        for i, tup in enumerate(tuples):
-            if i not in kept_idx:
-                dropped.add((rid, tup))
-    if not dropped:
+        drop[positions] = True
+        drop[positions[rng.permutation(n)[:keep]]] = False
+    if not drop.any():
         return store
-    return store.subset(lambda p: p not in dropped)
+    return store.subset(~drop)
 
 
 def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied_relations,

@@ -54,9 +54,6 @@ class ModelParams:
     relations: np.ndarray   # (n_relations, k)
     tuple_pre: np.ndarray   # (n_tuples, k)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.relations.copy(), self.tuple_pre.copy())
-
 
 @dataclass
 class LossBreakdown:

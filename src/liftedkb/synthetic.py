@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FactStore, Rule
+from .data import FactStore, Rule, Vocab
 
 
 @dataclass
@@ -74,17 +74,10 @@ def clustered_corpus(n_clusters: int = 4, relations_per_cluster: int = 10,
 
 def random_corpus(n_relations: int, n_tuples: int, n_facts: int,
                   seed: int = 0) -> FactStore:
-    """Unstructured random facts; handy for timing runs of a given size."""
+    """Uniform random facts over exactly `r0..` and `t0..` (id = index); for timing runs."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    seen = set()
+    pairs: dict[tuple[int, int], None] = {}  # distinct pairs in first-drawn order
     while len(pairs) < n_facts:
-        r = int(rng.integers(n_relations))
-        t = int(rng.integers(n_tuples))
-        if (r, t) not in seen:
-            seen.add((r, t))
-            pairs.append((f"r{r}", f"t{t}"))
-    # register every relation and tuple so vocab sizes are exact
-    all_pairs = [(f"r{i}", "t0") for i in range(n_relations)]
-    all_pairs += [("r0", f"t{j}") for j in range(n_tuples)]
-    return FactStore.from_named_pairs(all_pairs + pairs)
+        pairs[int(rng.integers(n_relations)), int(rng.integers(n_tuples))] = None
+    return FactStore(Vocab(f"r{i}" for i in range(n_relations)),
+                     Vocab(f"t{j}" for j in range(n_tuples)), list(pairs))

@@ -78,9 +78,10 @@ def sample_negative(store: FactStore, relation: int, rng,
     dropped from the batch (relation observed with nearly every tuple).
     """
     n_tuples = len(store.tuples)
+    base = relation * n_tuples
     for attempt in range(1, max_attempts + 1):
         candidate = int(rng.integers(n_tuples))
-        if (relation, candidate) not in store.fact_set:
+        if base + candidate not in store.keys:
             return candidate, attempt
     return None, max_attempts
 
@@ -144,7 +145,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
                                options.seed, overrides=init_overrides)
     state = AdamState.zeros(len(store.relations), len(store.tuples), config.k)
     rng = np.random.default_rng([options.seed, 1])
-    facts = np.asarray(store.facts, dtype=np.int64)
+    facts = store.facts
     n = len(facts)
     stats: list[EpochStats] = []
 
@@ -158,10 +159,10 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
         dropped = 0
         rule_seconds = 0.0
         for start in range(0, n, options.batch_size):
-            chunk = facts[order[start:start + options.batch_size]]
+            chunk = facts[order[start:start + options.batch_size]].tolist()
             triples = []
             for rel, pos in chunk:
-                neg, attempts = sample_negative(store, int(rel), rng)
+                neg, attempts = sample_negative(store, rel, rng)
                 attempts_total += attempts
                 if neg is None:
                     collisions += attempts

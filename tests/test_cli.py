@@ -20,7 +20,7 @@ def corpus_files(tmp_path):
     split.train.save(facts)
     # keep only test facts whose tuple still occurs in training, so the
     # checkpoint vocabulary covers the test file
-    split.test.subset(lambda p: bool(split.train.relations_of(p[1]))).save(test)
+    split.test.subset(np.isin(split.test.facts[:, 1], split.train.facts[:, 1])).save(test)
     from liftedkb.data import save_rules
     save_rules(rules, corpus.rules, corpus.store.relations)
     return {"facts": facts, "test": test, "rules": rules, "dir": tmp_path}

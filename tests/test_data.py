@@ -1,10 +1,14 @@
+import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from liftedkb.data import (FactStore, Rule, Vocab, holdout_split, load_facts,
                            load_facts_with_vocab, load_rules, save_rules)
 from liftedkb.errors import DataError, ParseError
+from liftedkb.evaluation import subsample_relation_facts
+from liftedkb.synthetic import clustered_corpus, random_corpus
 
 
 def write(tmp_path, name, text):
@@ -66,26 +70,81 @@ class TestLoadFacts:
         out = tmp_path / "out.tsv"
         store.save(out)
         reloaded = load_facts(out)
-        assert reloaded.facts == store.facts
+        assert np.array_equal(reloaded.facts, store.facts)
         assert reloaded.relations.names == store.relations.names
         assert reloaded.tuples.names == store.tuples.names
 
     def test_index_consistency(self, tmp_path):
         path = write(tmp_path, "f.tsv", "r1\ta\nr1\tb\nr2\ta\nr3\tc\n")
         store = load_facts(path)
-        for r, t in store.facts:
-            assert t in store.tuples_of(r)
-            assert r in store.relations_of(t)
+        # the relation index lists each relation's facts in fact order, and
+        # every fact exactly once
         for r in range(len(store.relations)):
-            for t in store.tuples_of(r):
+            in_r = store.facts[:, 0] == r
+            assert np.array_equal(store.positions_of(r), np.flatnonzero(in_r))
+            assert np.array_equal(store.tuples_of(r), store.facts[in_r, 1])
+            for t in store.tuples_of(r).tolist():
                 assert (r, t) in store
+        # each tuple's relations, read off the fact array, are all members
+        for t in range(len(store.tuples)):
+            for r in store.facts[store.facts[:, 1] == t, 0].tolist():
+                assert t in store.tuples_of(r)
+        assert (0, 2) not in store and (1, 1) not in store
+
+
+class TestFactStore:
+    @pytest.mark.parametrize("pair", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_ids_outside_the_vocabularies_rejected(self, pair):
+        # a negative id used to index from the end and file the fact under
+        # the last relation or tuple
+        facts = [(0, 0), pair, (-5, 7)]
+        message = f"fact {pair} is outside the vocabularies (2 relations, 2 tuples)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]), facts)
+
+    def test_duplicates_keep_first_seen_order(self):
+        store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]),
+                          [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1)])
+        assert store.facts.tolist() == [[1, 0], [0, 1], [0, 0]]
+        assert store.tuples_of(0).tolist() == [1, 0]
+        assert store.positions_of(0).tolist() == [1, 2]
+        assert store.keys == {2, 1, 0}
+
+    def test_arrays_are_read_only_copies(self):
+        given = np.array([[0, 1], [1, 0]])
+        store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]), given)
+        given[0, 0] = 1
+        assert store.facts.tolist() == [[0, 1], [1, 0]]
+        for arr in (store.facts, store.tuples_of(0), store.positions_of(1)):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_subset_takes_a_boolean_mask(self):
+        store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]), [(0, 0), (1, 1), (0, 1)])
+        kept = store.subset(np.array([True, False, True]))
+        assert kept.facts.tolist() == [[0, 0], [0, 1]]
+        assert kept.relations is store.relations and kept.tuples is store.tuples
+        for keep in (lambda p: True, np.array([1, 0, 1]), np.array([True, False])):
+            with pytest.raises(ValueError, match="boolean mask of shape"):
+                store.subset(keep)
+
+
+class TestRandomCorpus:
+    def test_exact_vocabularies_and_no_padding_facts(self):
+        store = random_corpus(5, 40, 30, seed=0)
+        assert len(store) == 30
+        assert store.relations.names == [f"r{i}" for i in range(5)]
+        assert store.tuples.names == [f"t{j}" for j in range(40)]
+        # registering the vocabulary through facts observed r0 with every tuple
+        assert len(store.tuples_of(0)) < 40
 
 
 class TestLoadFactsWithVocab:
     def test_ids_follow_the_given_vocabularies(self, tmp_path):
         path = write(tmp_path, "f.tsv", "a\tx\n\nb\ty\n")
         store = load_facts_with_vocab(path, Vocab(["b", "a"]), Vocab(["y", "x"]))
-        assert store.facts == [(1, 1), (0, 0)]
+        assert store.facts.tolist() == [[1, 1], [0, 0]]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write(tmp_path, "f.tsv", "a\tx\n\nonlyOneField\n")
@@ -155,20 +214,20 @@ class TestHoldoutSplit:
         split = holdout_split(store, 0.2, seed=7)
         assert len(split.train) == 8 and len(split.test) == 2
         again = holdout_split(store, 0.2, seed=7)
-        assert again.train.facts == split.train.facts
-        assert again.test.facts == split.test.facts
+        assert np.array_equal(again.train.facts, split.train.facts)
+        assert np.array_equal(again.test.facts, split.test.facts)
 
     def test_single_fact_relation_stays_in_train(self):
         store = self.make_store([1, 10])
         split = holdout_split(store, 0.3, seed=1)
-        assert split.train.tuples_of(0) == store.tuples_of(0)
-        assert not split.test.tuples_of(0)
+        assert np.array_equal(split.train.tuples_of(0), store.tuples_of(0))
+        assert len(split.test.tuples_of(0)) == 0
 
     def test_partition(self):
         store = self.make_store([3, 7, 12, 1])
         split = holdout_split(store, 0.25, seed=3)
         assert len(split.train) + len(split.test) == len(store)
-        assert not (split.train.fact_set & split.test.fact_set)
+        assert not (split.train.keys & split.test.keys)
 
     def test_test_relations_have_facts(self):
         store = self.make_store([5, 8])
@@ -187,3 +246,41 @@ class TestHoldoutSplit:
         store = FactStore(Vocab(), Vocab(), [])
         with pytest.raises(DataError):
             holdout_split(store, 0.2, seed=0)
+
+
+class TestGoldenSplits:
+    # SHA-256 of the int64 (relation, tuple) fact arrays of fixed-seed splits,
+    # recorded with the list-backed store (numpy 2.4, x86-64). Equal digests
+    # mean split selection changed no fact and no fact order.
+    TRAIN = "712e7726e43128a6a7a6f1ff5774ce96d62d2cc77ee16bcbaec9ca5eedb02d63"
+    TEST = "22a9326ee2a116a0ad075220ee066eac1f667740431b49130f117aecf5d385e8"
+    TEST_RELATIONS = "050b14aaa573519bee1c67013a68c01482698e3986d17647f24142fde37eb5ed"
+    SUBSAMPLED = {
+        0.0: (709, "70bf13ec8bf968c9761f8c0d84863264ea0779cf17aaa6cfae5a4bd3f3fc2e09"),
+        0.5: (968, "50eb0c08434f726d4b76fcd0ca68536282cce79499ae886d7389492eb2ffbf8d"),
+    }
+
+    @staticmethod
+    def digest(store):
+        facts = np.asarray(store.facts, dtype=np.int64).reshape(-1, 2)
+        return hashlib.sha256(facts.tobytes()).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        corpus = clustered_corpus(seed=3)
+        return corpus, holdout_split(corpus.store, 0.2, seed=5)
+
+    def test_holdout_split_matches_recorded_digest(self, split):
+        corpus, split = split
+        assert (len(corpus.store), len(split.train), len(split.test)) == (1543, 1231, 312)
+        assert self.digest(split.train) == self.TRAIN
+        assert self.digest(split.test) == self.TEST
+        relations = hashlib.sha256(repr(split.test_relations).encode()).hexdigest()
+        assert relations == self.TEST_RELATIONS
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_subsample_matches_recorded_digest(self, split, fraction):
+        corpus, split = split
+        implied = {rule.consequent for rule in corpus.rules}
+        reduced = subsample_relation_facts(split.train, implied, fraction, seed=2)
+        assert (len(reduced), self.digest(reduced)) == self.SUBSAMPLED[fraction]
