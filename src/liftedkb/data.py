@@ -8,8 +8,9 @@ File formats (stable CLI contracts):
               around the `=>` token.
 
 A `FactStore` holds its facts once, as an (n, 2) int64 array, with a
-per-relation CSR index and an int key set beside it; it costs O(facts)
-whatever the vocabulary sizes, and splits select facts by boolean mask.
+per-relation CSR index and a sorted int64 key array beside it; it costs
+O(facts) whatever the vocabulary sizes, and splits select facts by boolean
+mask.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class FactStore:
     By relation (CSR): rows `_offsets[r]:_offsets[r + 1]` of `_relation_order`
     (fact positions sorted stably by relation) and of `_relation_tuples`
     (their tuple ids) belong to relation r, in fact order.
-    Membership: `keys`, the set of `relation * len(tuples) + tuple`; the
-    vocabularies must not grow after construction. Ids outside them raise.
+    Membership: `keys`, the sorted unique read-only int64 array of
+    `relation * len(tuples) + tuple`; the vocabularies must not grow after
+    construction. Ids outside them raise.
     """
 
     def __init__(self, relations: Vocab, tuples: Vocab, facts):
@@ -80,16 +82,16 @@ class FactStore:
             r, t = pairs[np.argmax(bad)].tolist()
             raise ValueError(f"fact ({r}, {t}) is outside the vocabularies "
                              f"({n_relations} relations, {n_tuples} tuples)")
-        keys = pairs[:, 0] * n_tuples + pairs[:, 1]
-        self.keys: set[int] = set(keys.tolist())
+        self.keys, first = np.unique(pairs[:, 0] * n_tuples + pairs[:, 1], return_index=True)
         if len(self.keys) < len(pairs):  # keep the first occurrence of each fact
-            pairs = pairs[np.sort(np.unique(keys, return_index=True)[1])]
+            pairs = pairs[np.sort(first)]
         self.facts = pairs
         self._relation_order = np.argsort(pairs[:, 0], kind="stable")
         self._relation_tuples = pairs[self._relation_order, 1]
         self._offsets = np.zeros(n_relations + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs[:, 0], minlength=n_relations), out=self._offsets[1:])
-        for arr in (self.facts, self._relation_order, self._relation_tuples, self._offsets):
+        for arr in (self.facts, self.keys, self._relation_order, self._relation_tuples,
+                    self._offsets):
             arr.setflags(write=False)
 
     @classmethod
@@ -104,8 +106,11 @@ class FactStore:
     def __contains__(self, pair) -> bool:
         r, t = pair
         n_tuples = len(self.tuples)
-        return (0 <= r < len(self.relations) and 0 <= t < n_tuples
-                and r * n_tuples + t in self.keys)
+        if not (0 <= r < len(self.relations) and 0 <= t < n_tuples):
+            return False
+        key = r * n_tuples + t
+        at = np.searchsorted(self.keys, key)
+        return bool(at < len(self.keys) and self.keys[at] == key)
 
     def positions_of(self, relation: int) -> np.ndarray:
         """Positions in `facts` of the relation's facts, in fact order (read-only)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 
 from .data import Rule
@@ -133,11 +134,6 @@ class Batch:
     def __len__(self) -> int:
         return len(self.relations)
 
-    @classmethod
-    def from_pairs(cls, triples) -> "Batch":
-        arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-
 
 @dataclass
 class Gradients:
@@ -189,6 +185,34 @@ def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) ->
     return LossBreakdown.build(recon, l2, implication, config.alpha, config.beta_tilde)
 
 
+def scatter_rows(at, values, n_rows: int) -> np.ndarray:
+    """(n_rows, k) sums: row i adds the rows `values[j]` with `at[j] == i`.
+
+    Each row is summed from 0.0 in occurrence order, exactly as `np.add.at`
+    into zeros sums it: the product of a 0/1 CSR matrix with one entry per
+    value, kept in column (occurrence) order within each row, and `values`.
+    """
+    m = len(at)
+    onehot = csr_matrix((np.ones(m), (at, np.arange(m))), shape=(n_rows, m))
+    return onehot @ values
+
+
+def _tuple_contributions(w, r, t_neg, t_pos, config: ModelConfig) -> np.ndarray:
+    """(2m, k) per-pair tuple gradients, the m negatives' rows then the m
+    positives', filled in place in the operand order of `w * r * t * (1 - t)`
+    (FS, FSL) or `w * r` (F), with `-w` for positives. Overwrites `t_neg`
+    and `t_pos`. The caller passes the buffer straight to `scatter_rows`,
+    so it is freed before the L2 terms allocate theirs."""
+    m = len(r)
+    contrib = np.empty((2 * m, r.shape[1]))
+    for part, weight, t in ((contrib[:m], w, t_neg), (contrib[m:], -w, t_pos)):
+        np.multiply(weight, r, out=part)
+        if config.sigmoid_tuples:
+            part *= t
+            part *= np.subtract(1.0, t, out=t)
+    return contrib
+
+
 def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
                        config: ModelConfig) -> tuple[Gradients, float, float]:
     """Gradients of the reconstruction + L2 terms; returns (grads, recon, l2).
@@ -206,18 +230,11 @@ def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
     recon = float(recon_pair_loss(s).sum())
     w = sigmoid(s)[:, None]  # d softplus(s) / ds
 
-    k = params.relations.shape[1]
-    grad_rel = np.zeros((len(rel_rows), k))
-    grad_tup = np.zeros((len(tup_rows), k))
-    neg_at = np.searchsorted(tup_rows, batch.negatives)
-    pos_at = np.searchsorted(tup_rows, batch.positives)
-    np.add.at(grad_rel, np.searchsorted(rel_rows, batch.relations), w * (t_neg - t_pos))
-    if config.sigmoid_tuples:
-        np.add.at(grad_tup, neg_at, w * r * t_neg * (1.0 - t_neg))
-        np.add.at(grad_tup, pos_at, -w * r * t_pos * (1.0 - t_pos))
-    else:
-        np.add.at(grad_tup, neg_at, w * r)
-        np.add.at(grad_tup, pos_at, -w * r)
+    grad_rel = scatter_rows(np.searchsorted(rel_rows, batch.relations),
+                            w * (t_neg - t_pos), len(rel_rows))
+    tup_at = np.searchsorted(tup_rows, np.concatenate([batch.negatives, batch.positives]))
+    grad_tup = scatter_rows(tup_at, _tuple_contributions(w, r, t_neg, t_pos, config),
+                            len(tup_rows))
 
     rel_params = params.relations[rel_rows]
     tup_params = params.tuple_pre[tup_rows]
@@ -234,7 +251,9 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
     The hinge subgradient at the kink is 0 (constraint already satisfied).
     `rule_idx` is a pair of index arrays (antecedents, consequents); every
     rule relation must be in `grads.relation_rows`, as `touched_rows`
-    guarantees.
+    guarantees. It adds with `np.add.at` into the filled rows, one value
+    at a time; summing the rule terms apart first (`scatter_rows`) would
+    round differently.
     """
     ant, cons = rule_idx
     if len(ant) == 0:

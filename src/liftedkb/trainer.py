@@ -4,6 +4,20 @@ One epoch is one shuffled pass over the positive facts, each paired with a
 freshly sampled unobserved tuple for the same relation. When training the
 FSL variant, the lifted losses of *all* rules are added to every batch.
 Single-threaded and bitwise deterministic for a fixed seed.
+
+Negatives are drawn for the whole epoch at once, yet the generator yields
+exactly what one scalar `rng.integers(n_tuples)` per rejection attempt,
+facts in epoch order, would (BPR's uniform rejection sampler, Rendle et al.
+2009). This rests on one property of numpy's `Generator.integers`: a call
+with `size=m` returns the same values, and leaves the same bit-generator
+state, as m scalar calls (bounded draws below 2**32 take one 32-bit output
+each, with no buffering across values; `tests/test_trainer.py` pins this by
+name). The draws then form one stream that the facts consume in order:
+fact j takes draws until one misses the observed facts or the cap is hit,
+so a collision only shifts every later fact's first draw by one. The
+sampler draws a block of that stream, walks it in windows, and finally
+restores the saved state and redraws exactly the number of values used, so
+the generator ends where the per-attempt loop would have left it.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ from .model import Batch, Gradients, LossBreakdown, ModelConfig, ModelParams
 log = logging.getLogger(__name__)
 
 MAX_NEGATIVE_ATTEMPTS = 100
+FIRST_WINDOW, MAX_WINDOW = 64, 4096  # facts tested per membership query
 
 
 @dataclass
@@ -68,22 +83,61 @@ class EpochStats:
     collision_rate: float        # fraction of negative draws that hit observed facts
     rule_seconds: float = 0.0    # time spent on rule loss/gradients this epoch
     dropped_pairs: int = 0       # positives dropped after the rejection cap
+    sample_seconds: float = 0.0  # time spent drawing negatives this epoch
+    grad_seconds: float = 0.0    # time spent on reconstruction + L2 gradients
+    adam_seconds: float = 0.0    # time spent in ADAM updates
 
 
-def sample_negative(store: FactStore, relation: int, rng,
-                    max_attempts: int = MAX_NEGATIVE_ATTEMPTS):
-    """Uniform unobserved tuple for `relation` by rejection sampling.
+def sample_negatives(store: FactStore, relations, rng,
+                     max_attempts: int = MAX_NEGATIVE_ATTEMPTS):
+    """Uniform unobserved tuple for each entry of `relations`, by rejection.
 
-    Returns (tuple_id or None, attempts). None signals the pair should be
-    dropped from the batch (relation observed with nearly every tuple).
+    Returns (negatives, attempts), int64 arrays with one entry per relation:
+    the sampled tuple id, or -1 when all `max_attempts` draws hit observed
+    facts and the pair is dropped, and the draws it took. Values and the
+    final generator state equal those of one scalar `rng.integers(n_tuples)`
+    per attempt, relations in order (see the module docstring).
     """
-    n_tuples = len(store.tuples)
-    base = relation * n_tuples
-    for attempt in range(1, max_attempts + 1):
-        candidate = int(rng.integers(n_tuples))
-        if base + candidate not in store.keys:
-            return candidate, attempt
-    return None, max_attempts
+    relations = np.asarray(relations, dtype=np.int64)
+    n, n_tuples = len(relations), len(store.tuples)
+    # a sentinel above every key keeps searchsorted positions in range
+    keys = np.append(store.keys, np.iinfo(np.int64).max)
+    negatives = np.empty(n, dtype=np.int64)
+    attempts = np.ones(n, dtype=np.int64)
+    saved = rng.bit_generator.state
+    draws = rng.integers(n_tuples, size=n + max_attempts)
+    used = j = 0  # draws consumed, facts resolved
+    window = FIRST_WINDOW
+    while j < n:
+        width = min(window, n - j)
+        while used + width + max_attempts > len(draws):  # the stream continues
+            draws = np.concatenate([draws, rng.integers(n_tuples, size=len(draws))])
+        candidates = draws[used:used + width]
+        queries = relations[j:j + width] * n_tuples + candidates
+        hit = keys[np.searchsorted(keys, queries)] == queries
+        clean = int(hit.argmax())
+        if not hit[clean]:
+            clean = width
+        negatives[j:j + clean] = candidates[:clean]
+        used, j = used + clean, j + clean
+        if clean == width:
+            window = min(2 * window, MAX_WINDOW)
+            continue
+        # fact j collided on its first draw: its next draws decide it
+        window = max(window // 2, 1)
+        tries = draws[used:used + max_attempts]
+        queries = relations[j] * n_tuples + tries
+        free = keys[np.searchsorted(keys, queries)] != queries
+        tried = int(free.argmax()) + 1
+        if free[tried - 1]:
+            negatives[j] = tries[tried - 1]
+        else:
+            tried, negatives[j] = max_attempts, -1
+        attempts[j] = tried
+        used, j = used + tried, j + 1
+    rng.bit_generator.state = saved
+    rng.integers(n_tuples, size=used)
+    return negatives, attempts
 
 
 def _adam_update_block(name, theta, grad, m, v, rows, t, options):
@@ -151,29 +205,24 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
 
     for epoch in range(options.epochs):
         t0 = time.perf_counter()
-        order = rng.permutation(n)
+        epoch_facts = facts[rng.permutation(n)]
+        relations, positives = epoch_facts[:, 0], epoch_facts[:, 1]
+        s0 = time.perf_counter()
+        negatives, attempts = sample_negatives(store, relations, rng)
+        sample_seconds = time.perf_counter() - s0
+        kept = negatives >= 0
         sums = np.zeros(4)  # recon, l2, implication, total
         n_batches = 0
-        attempts_total = 0
-        collisions = 0
-        dropped = 0
-        rule_seconds = 0.0
+        rule_seconds = grad_seconds = adam_seconds = 0.0
         for start in range(0, n, options.batch_size):
-            chunk = facts[order[start:start + options.batch_size]].tolist()
-            triples = []
-            for rel, pos in chunk:
-                neg, attempts = sample_negative(store, rel, rng)
-                attempts_total += attempts
-                if neg is None:
-                    collisions += attempts
-                    dropped += 1
-                    continue
-                collisions += attempts - 1
-                triples.append((rel, pos, neg))
-            if not triples:
+            part = slice(start, start + options.batch_size)
+            keep = kept[part]
+            if not keep.any():
                 continue
-            batch = Batch.from_pairs(triples)
+            batch = Batch(relations[part][keep], positives[part][keep], negatives[part][keep])
+            g0 = time.perf_counter()
             grads, recon, l2 = model.recon_l2_gradients(params, batch, rule_idx, config)
+            grad_seconds += time.perf_counter() - g0
             if active_rules:
                 r0 = time.perf_counter()
                 implication = model.rule_gradients(params, rule_idx, config, grads)
@@ -186,7 +235,11 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
                 raise NumericalError(f"non-finite loss at epoch {epoch}: {loss}")
             sums += (loss.reconstruction, loss.l2, loss.implication, loss.total)
             n_batches += 1
+            a0 = time.perf_counter()
             adam_step(params, grads, state, options)
+            adam_seconds += time.perf_counter() - a0
+        attempts_total, n_kept = int(attempts.sum()), int(kept.sum())
+        collisions = attempts_total - n_kept  # every draw but each kept pair's last
         denom = max(n_batches, 1)
         mean_loss = LossBreakdown(sums[0] / denom, sums[1] / denom,
                                   sums[2] / denom, sums[3] / denom)
@@ -196,7 +249,10 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             seconds=time.perf_counter() - t0,
             collision_rate=collisions / max(attempts_total, 1),
             rule_seconds=rule_seconds,
-            dropped_pairs=dropped,
+            dropped_pairs=n - n_kept,
+            sample_seconds=sample_seconds,
+            grad_seconds=grad_seconds,
+            adam_seconds=adam_seconds,
         )
         stats.append(epoch_stats)
         if callbacks:

@@ -1,14 +1,38 @@
-"""Shared test oracles: finite-difference gradients and brute-force AP.
+"""Shared test oracles: finite-difference gradients, brute-force AP and the
+per-draw negative sampler.
 
 These stay independent of the code paths they check: the gradient oracle
-only evaluates batch_loss, and the AP oracle ranks by pairwise comparison
-instead of sorting.
+only evaluates batch_loss, the AP oracle ranks by pairwise comparison
+instead of sorting, and the sampler oracle draws one scalar per attempt.
 """
 
 import numpy as np
 
 from liftedkb import model
 from liftedkb.model import Batch, ModelConfig, ModelParams
+from liftedkb.trainer import MAX_NEGATIVE_ATTEMPTS
+
+
+def batch_from_pairs(triples) -> Batch:
+    """Batch from (relation, positive tuple, negative tuple) triples."""
+    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    return Batch(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+def sample_negative(store, relation: int, rng, max_attempts: int = MAX_NEGATIVE_ATTEMPTS):
+    """Uniform unobserved tuple for `relation` by rejection sampling, one
+    scalar draw per attempt: the oracle for `trainer.sample_negatives`.
+
+    Returns (tuple_id or None, attempts); None means every attempt hit an
+    observed fact and the pair is dropped.
+    """
+    n_tuples = len(store.tuples)
+    observed = set(store.tuples_of(relation).tolist())
+    for attempt in range(1, max_attempts + 1):
+        candidate = int(rng.integers(n_tuples))
+        if candidate not in observed:
+            return candidate, attempt
+    return None, max_attempts
 
 
 def finite_difference_gradients(params: ModelParams, batch: Batch, rules,
@@ -57,7 +81,7 @@ def random_instance(rng, variant: str, n_rel=None, n_tup=None, k=None,
                          rng.normal(0, scale, (n_tup, k)))
     triples = [(int(rng.integers(n_rel)), int(rng.integers(n_tup)),
                 int(rng.integers(n_tup))) for _ in range(n_pairs)]
-    batch = Batch.from_pairs(triples)
+    batch = batch_from_pairs(triples)
     rules = []
     if n_rules and n_rel >= 2:
         while len(rules) < n_rules:

@@ -85,7 +85,8 @@ class TestTrainCommand:
         with open(out / "metrics.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "recon", "l2", "implication", "total", "seconds",
-                           "collision_rate", "rule_seconds", "dropped_pairs"]
+                           "collision_rate", "rule_seconds", "dropped_pairs",
+                           "sample_seconds", "grad_seconds", "adam_seconds"]
         assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
         for row in rows[1:]:
             values = [float(cell) for cell in row]
@@ -93,6 +94,9 @@ class TestTrainCommand:
             assert 0.0 <= values[6] <= 1.0
             assert values[7] > 0.0
             assert row[8] == str(int(row[8]))
+            # the phase timers are parts of the epoch's `seconds`
+            assert all(values[i] > 0.0 for i in (9, 10, 11))
+            assert values[7] + sum(values[9:]) <= values[5]
 
     def test_missing_facts_file(self, tmp_path):
         args = ["train", "--facts", str(tmp_path / "absent.tsv"),

@@ -108,14 +108,14 @@ class TestFactStore:
         assert store.facts.tolist() == [[1, 0], [0, 1], [0, 0]]
         assert store.tuples_of(0).tolist() == [1, 0]
         assert store.positions_of(0).tolist() == [1, 2]
-        assert store.keys == {2, 1, 0}
+        assert store.keys.tolist() == [0, 1, 2]
 
     def test_arrays_are_read_only_copies(self):
         given = np.array([[0, 1], [1, 0]])
         store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]), given)
         given[0, 0] = 1
         assert store.facts.tolist() == [[0, 1], [1, 0]]
-        for arr in (store.facts, store.tuples_of(0), store.positions_of(1)):
+        for arr in (store.facts, store.keys, store.tuples_of(0), store.positions_of(1)):
             assert arr.dtype == np.int64
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -227,7 +227,7 @@ class TestHoldoutSplit:
         store = self.make_store([3, 7, 12, 1])
         split = holdout_split(store, 0.25, seed=3)
         assert len(split.train) + len(split.test) == len(store)
-        assert not (split.train.keys & split.test.keys)
+        assert np.intersect1d(split.train.keys, split.test.keys).size == 0
 
     def test_test_relations_have_facts(self):
         store = self.make_store([5, 8])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import (away_from_hinge_kinks, finite_difference_gradients,
+from helpers import (away_from_hinge_kinks, batch_from_pairs, finite_difference_gradients,
                      random_instance, relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
@@ -147,19 +147,34 @@ class TestLossBreakdown:
         assert lb.total == lb.reconstruction + 0.01 * lb.l2 + 0.1 * lb.implication
 
 
+class TestScatterRows:
+    def test_bytes_equal_add_at(self):
+        # row sums in occurrence order, as np.add.at into zeros: magnitudes
+        # 1e-8..1e8 of both signs make any other order change the bytes
+        rng = np.random.default_rng(11)
+        m, k, n_rows = 4_000, 20, 700  # some rows get no value
+        at = rng.integers(n_rows - 50, size=m)
+        values = rng.choice([-1.0, 1.0], (m, k)) * 10.0 ** rng.uniform(-8, 8, (m, k))
+        values[7, 3] = -0.0
+        expected = np.zeros((n_rows, k))
+        np.add.at(expected, at, values)
+        got = model.scatter_rows(at, values, n_rows)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestGradients:
     def test_symmetric_init_zero_recon_gradient(self):
         # all-zero params under FS: t_pos == t_neg == 0.5, so nothing moves
         config = ModelConfig(k=3, variant="fs", alpha=0.0)
         p = ModelParams(np.zeros((1, 3)), np.zeros((2, 3)))
-        grads = model.gradients(p, Batch.from_pairs([(0, 0, 1)]), [], config)
+        grads = model.gradients(p, batch_from_pairs([(0, 0, 1)]), [], config)
         assert np.allclose(grads.relations, 0.0)
         assert np.allclose(grads.tuple_pre, 0.0)
 
     def test_hinge_subgradient_is_beta_tilde(self):
         config = ModelConfig(k=2, variant="fsl", alpha=0.0, beta_tilde=0.1, delta=0.01)
         p = params_of([[0.5, -0.5], [0.0, 0.0]], [[0.0, 0.0]])
-        grads = model.gradients(p, Batch.from_pairs([(0, 0, 0)]), [Rule(0, 1)], config)
+        grads = model.gradients(p, batch_from_pairs([(0, 0, 0)]), [Rule(0, 1)], config)
         # dim 0 active (0.5 + 0.01 > 0), dim 1 inactive; recon cancels (same tuple)
         assert grads.relations[0, 0] == pytest.approx(0.1)
         assert grads.relations[1, 0] == pytest.approx(-0.1)

@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import sample_negative
 from liftedkb import model, trainer
-from liftedkb.data import FactStore, Rule
+from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import NumericalError
 from liftedkb.model import Gradients, ModelConfig, ModelParams
-from liftedkb.trainer import AdamState, TrainOptions, sample_negative, train
+from liftedkb.trainer import AdamState, TrainOptions, sample_negatives, train
 from liftedkb.synthetic import clustered_corpus
 
 
@@ -16,29 +17,113 @@ def small_store():
     return FactStore.from_named_pairs(pairs)
 
 
+def sample_like_oracle(store, relations, seed, max_attempts=trainer.MAX_NEGATIVE_ATTEMPTS):
+    """`sample_negatives` on `relations`, checked against one oracle call per
+    entry: same negatives (-1 for a dropped pair), attempts and final state."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    negatives, attempts = sample_negatives(store, relations, rng, max_attempts)
+    expected = [sample_negative(store, rel, oracle_rng, max_attempts)
+                for rel in np.asarray(relations).tolist()]
+    assert negatives.tolist() == [-1 if neg is None else neg for neg, _ in expected]
+    assert attempts.tolist() == [tries for _, tries in expected]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return negatives, attempts
+
+
+def edge_store(n_tuples=4):
+    """Relation 0 has no facts, 1 has every tuple but the last, 2 has all."""
+    facts = ([(1, t) for t in range(n_tuples - 1)] + [(2, t) for t in range(n_tuples)])
+    return FactStore(Vocab(["free", "one_left", "full"]),
+                     Vocab([f"t{t}" for t in range(n_tuples)]), facts)
+
+
 class TestSampleNegative:
     def test_forced_outcome(self):
         # relation observed with every tuple but one
         pairs = [("r", f"t{j}") for j in range(9)] + [("other", "t9")]
         store = FactStore.from_named_pairs(pairs)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            neg, _ = sample_negative(store, store.relations.id("r"), rng)
-            assert neg == store.tuples.id("t9")
+        negatives, _ = sample_like_oracle(store, [store.relations.id("r")] * 20, seed=0)
+        assert negatives.tolist() == [store.tuples.id("t9")] * 20
 
     def test_deterministic_sequence(self):
         store = small_store()
-        rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-        a = [sample_negative(store, 1, rng1)[0] for _ in range(50)]
-        b = [sample_negative(store, 1, rng2)[0] for _ in range(50)]
-        assert a == b
+        a, _ = sample_like_oracle(store, [1] * 50, seed=9)
+        b, _ = sample_like_oracle(store, [1] * 50, seed=9)
+        assert a.tolist() == b.tolist()
 
     def test_saturated_relation_skips(self):
         pairs = [("r", f"t{j}") for j in range(4)]
         store = FactStore.from_named_pairs(pairs)
-        neg, attempts = sample_negative(store, 0, np.random.default_rng(0))
-        assert neg is None
-        assert attempts == trainer.MAX_NEGATIVE_ATTEMPTS
+        negatives, attempts = sample_like_oracle(store, [0], seed=0)
+        assert negatives.tolist() == [-1]
+        assert attempts.tolist() == [trainer.MAX_NEGATIVE_ATTEMPTS]
+
+    @pytest.mark.parametrize("max_attempts", [1, 3, trainer.MAX_NEGATIVE_ATTEMPTS])
+    def test_matches_oracle_on_random_stores(self, max_attempts):
+        rng = np.random.default_rng(20)
+        for case in range(40):
+            n_rel, n_tup = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            density = rng.random(n_rel)  # some relations near or at saturation
+            observed = rng.random((n_rel, n_tup)) < density[:, None]
+            store = FactStore(Vocab([f"r{r}" for r in range(n_rel)]),
+                              Vocab([f"t{t}" for t in range(n_tup)]),
+                              np.argwhere(observed))
+            relations = rng.integers(n_rel, size=int(rng.integers(0, 400)))
+            sample_like_oracle(store, relations, seed=case, max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("at", [0, trainer.FIRST_WINDOW - 1, trainer.FIRST_WINDOW,
+                                    3 * trainer.FIRST_WINDOW - 1, 3 * trainer.FIRST_WINDOW])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_collision_on_window_edge(self, at, drop):
+        # relation 0 has no facts, so the one collision falls on fact `at`:
+        # the last fact of a window or the first of the next. Relation 1
+        # observes the tuple drawn there and, unless it drops, one tuple less.
+        draws = np.random.default_rng(at).integers(4, size=at + 100).tolist()
+        free = -1 if drop else next(d for d in draws[at + 1:] if d != draws[at])
+        store = FactStore(Vocab(["none", "edge"]), Vocab(["a", "b", "c", "d"]),
+                          [(1, t) for t in range(4) if t != free])
+        negatives, attempts = sample_like_oracle(store, [0] * at + [1] + [0] * 300, seed=at)
+        assert attempts[at] > 1 and np.delete(attempts, at).max() == 1
+        assert (negatives[at] == -1) == drop
+
+    def test_draws_overrun_the_first_block(self):
+        # each dropped pair consumes the full cap, far beyond one draw per fact
+        relations = [2, 0, 1, 2, 2, 1, 0, 2] * 20
+        negatives, attempts = sample_like_oracle(edge_store(), relations, seed=4)
+        assert attempts.sum() > len(relations) + trainer.MAX_NEGATIVE_ATTEMPTS
+        assert (negatives == -1).sum() == relations.count(2)
+
+    @pytest.mark.parametrize("n", [5_000, 100_000, 2**33])
+    def test_batched_integers_equal_scalar_draws(self, n):
+        # the property sample_negatives rests on: a size-m draw yields the
+        # values and the generator state of m scalar draws, also when split
+        batched, scalar = np.random.default_rng(n), np.random.default_rng(n)
+        values = np.concatenate([batched.integers(n, size=333), batched.integers(n, size=667)])
+        assert values.tolist() == [int(scalar.integers(n)) for _ in range(1000)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_every_epoch_yields_one_outcome_per_fact(self, monkeypatch):
+        store = edge_store(n_tuples=6)  # relation 2's facts are always dropped
+        outcomes, pairs = [], []
+        recon_l2_gradients = model.recon_l2_gradients
+
+        def sampler(store_, relations, rng):
+            result = sample_negatives(store_, relations, rng)
+            outcomes.append((sorted(relations.tolist()), len(result[0]), len(result[1])))
+            pairs.append(0)
+            return result
+
+        def gradients(params, batch, *args):
+            pairs[-1] += len(batch)
+            return recon_l2_gradients(params, batch, *args)
+
+        monkeypatch.setattr(trainer, "sample_negatives", sampler)
+        monkeypatch.setattr(model, "recon_l2_gradients", gradients)
+        result = train(store, [], ModelConfig(k=2), TrainOptions(epochs=3, batch_size=4))
+        n = len(store)
+        assert outcomes == [(sorted(store.facts[:, 0].tolist()), n, n)] * 3
+        assert [p + st.dropped_pairs for p, st in zip(pairs, result.stats)] == [n] * 3
+        assert [st.dropped_pairs for st in result.stats] == [6] * 3
 
 
 class TestAdamStep:
@@ -190,6 +275,8 @@ class TestTrain:
         for s in result.stats:
             assert s.seconds >= 0
             assert 0 <= s.collision_rate <= 1
+            phases = (s.sample_seconds, s.grad_seconds, s.adam_seconds, s.rule_seconds)
+            assert min(phases) >= 0 and sum(phases) <= s.seconds
 
 
 class TestGoldenDigest:
