@@ -135,10 +135,10 @@ def cmd_train(args) -> int:
                  st.loss.total, st.seconds, st.collision_rate, st.rule_seconds)
         timers = (st.sample_seconds, st.grad_seconds, st.adam_seconds)
         epochs.append([st.epoch, *(repr(float(x)) for x in reals), st.dropped_pairs,
-                       *(repr(float(x)) for x in timers)])
+                       *(repr(float(x)) for x in timers), st.adam_rows])
     _write_csv(metrics, ["epoch", "recon", "l2", "implication", "total", "seconds",
-                         "collision_rate", "rule_seconds", "dropped_pairs",
-                         "sample_seconds", "grad_seconds", "adam_seconds"], epochs)
+                         "collision_rate", "rule_seconds", "dropped_pairs", "sample_seconds",
+                         "grad_seconds", "adam_seconds", "adam_rows"], epochs)
     write_manifest(outdir / "manifest.json", "train", args,
                    {"facts": args.facts, "rules": args.rules}, [checkpoint, metrics])
     print(f"trained {options.epochs} epochs on {len(store)} facts "

@@ -126,8 +126,10 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
     one, in test order, is reported by name.
     """
     n_tuples = len(train.tuples)
-    keys = [store.facts[:, 0] * n_tuples + store.facts[:, 1] for store in (test, train)]
-    clash = np.flatnonzero(np.isin(*keys))
+    keys = test.facts[:, 0] * n_tuples + test.facts[:, 1]
+    at = np.searchsorted(train.keys, keys)
+    inside = at < len(train.keys)
+    clash = np.flatnonzero(inside)[train.keys[at[inside]] == keys[inside]]
     if clash.size:
         r, t = test.facts[clash[0]].tolist()
         raise DataError(f"test fact is also a training fact: "

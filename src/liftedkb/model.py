@@ -166,7 +166,8 @@ def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) ->
 
     The L2 term covers the parameter rows touched by this batch (including
     rule relations), each counted once; this is the sparse-training reading
-    of the global regularizer and is exactly what `gradients` differentiates.
+    of the global regularizer and is exactly what `recon_l2_gradients` plus
+    `rule_gradients` differentiate.
     """
     t_pos = effective_tuples(params, config.variant, batch.positives)
     t_neg = effective_tuples(params, config.variant, batch.negatives)
@@ -271,21 +272,6 @@ def rule_index_arrays(rules) -> tuple[np.ndarray, np.ndarray]:
     ant = np.array([r.antecedent for r in rules], dtype=np.int64)
     cons = np.array([r.consequent for r in rules], dtype=np.int64)
     return ant, cons
-
-
-def gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> ModelParams:
-    """Exact analytic gradients of `batch_loss`, dense and shaped like `params`.
-
-    Scatters the compact training buffers into full matrices; rows the batch
-    does not touch are zero. Only the finite-difference checks use this.
-    """
-    rule_idx = rule_index_arrays(rules)
-    grads, _, _ = recon_l2_gradients(params, batch, rule_idx, config)
-    rule_gradients(params, rule_idx, config, grads)
-    dense = ModelParams(np.zeros_like(params.relations), np.zeros_like(params.tuple_pre))
-    dense.relations[grads.relation_rows] = grads.relations
-    dense.tuple_pre[grads.tuple_rows] = grads.tuple_pre
-    return dense
 
 
 def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,

@@ -15,9 +15,10 @@ each, with no buffering across values; `tests/test_trainer.py` pins this by
 name). The draws then form one stream that the facts consume in order:
 fact j takes draws until one misses the observed facts or the cap is hit,
 so a collision only shifts every later fact's first draw by one. The
-sampler draws a block of that stream, walks it in windows, and finally
-restores the saved state and redraws exactly the number of values used, so
-the generator ends where the per-attempt loop would have left it.
+sampler draws a block of that stream, walks the facts over it in one plain
+loop, extends it from the same generator when it runs short, then restores
+the saved state and redraws exactly the number of values used, so the
+generator ends where the per-attempt loop would have left it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .model import Batch, Gradients, LossBreakdown, ModelConfig, ModelParams
 log = logging.getLogger(__name__)
 
 MAX_NEGATIVE_ATTEMPTS = 100
-FIRST_WINDOW, MAX_WINDOW = 64, 4096  # facts tested per membership query
 
 
 @dataclass
@@ -86,6 +86,7 @@ class EpochStats:
     sample_seconds: float = 0.0  # time spent drawing negatives this epoch
     grad_seconds: float = 0.0    # time spent on reconstruction + L2 gradients
     adam_seconds: float = 0.0    # time spent in ADAM updates
+    adam_rows: int = 0           # relation plus tuple rows ADAM updated
 
 
 def sample_negatives(store: FactStore, relations, rng,
@@ -100,61 +101,68 @@ def sample_negatives(store: FactStore, relations, rng,
     """
     relations = np.asarray(relations, dtype=np.int64)
     n, n_tuples = len(relations), len(store.tuples)
-    # a sentinel above every key keeps searchsorted positions in range
-    keys = np.append(store.keys, np.iinfo(np.int64).max)
-    negatives = np.empty(n, dtype=np.int64)
+    observed = set(store.keys.tolist())
+    negatives = []
     attempts = np.ones(n, dtype=np.int64)
     saved = rng.bit_generator.state
-    draws = rng.integers(n_tuples, size=n + max_attempts)
-    used = j = 0  # draws consumed, facts resolved
-    window = FIRST_WINDOW
-    while j < n:
-        width = min(window, n - j)
-        while used + width + max_attempts > len(draws):  # the stream continues
-            draws = np.concatenate([draws, rng.integers(n_tuples, size=len(draws))])
-        candidates = draws[used:used + width]
-        queries = relations[j:j + width] * n_tuples + candidates
-        hit = keys[np.searchsorted(keys, queries)] == queries
-        clean = int(hit.argmax())
-        if not hit[clean]:
-            clean = width
-        negatives[j:j + clean] = candidates[:clean]
-        used, j = used + clean, j + clean
-        if clean == width:
-            window = min(2 * window, MAX_WINDOW)
+    draws = rng.integers(n_tuples, size=n + max_attempts).tolist()
+    used = 0  # draws consumed; len(draws) - used >= n - j + max_attempts at fact j
+    for j, base in enumerate((relations * n_tuples).tolist()):
+        draw = draws[used]
+        used += 1
+        if base + draw not in observed:
+            negatives.append(draw)
             continue
-        # fact j collided on its first draw: its next draws decide it
-        window = max(window // 2, 1)
-        tries = draws[used:used + max_attempts]
-        queries = relations[j] * n_tuples + tries
-        free = keys[np.searchsorted(keys, queries)] != queries
-        tried = int(free.argmax()) + 1
-        if free[tried - 1]:
-            negatives[j] = tries[tried - 1]
-        else:
-            tried, negatives[j] = max_attempts, -1
+        for tried in range(2, max_attempts + 1):
+            draw = draws[used]
+            used += 1
+            if base + draw not in observed:
+                break
+        else:  # every draw hit an observed fact: the pair is dropped
+            draw, tried = -1, max_attempts
+        negatives.append(draw)
         attempts[j] = tried
-        used, j = used + tried, j + 1
+        while len(draws) - used < n - j - 1 + max_attempts:  # the stream continues
+            draws += rng.integers(n_tuples, size=len(draws)).tolist()
     rng.bit_generator.state = saved
     rng.integers(n_tuples, size=used)
-    return negatives, attempts
+    return np.array(negatives, dtype=np.int64), attempts
 
 
 def _adam_update_block(name, theta, grad, m, v, rows, t, options):
-    """ADAM on the rows `rows` of one block; `grad` row i belongs to `rows[i]`."""
+    """ADAM on the rows `rows` of one block; `grad` row i belongs to `rows[i]`.
+
+    In place on four row-sized buffers, yet each IEEE operation has the
+    operands of `b1 * m + (1 - b1) * grad`, `b2 * v + (1 - b2) * grad * grad`
+    and `theta - lr * m_hat / (sqrt(v_hat) + eps)` read left to right, so
+    the results are byte-equal to that out-of-place form.
+    """
     if grad.shape[0] != len(rows):
         raise ValueError(f"{name}: gradient buffer has {grad.shape[0]} rows "
                          f"for {len(rows)} touched rows")
     if not np.all(np.isfinite(grad)):
         raise NumericalError(f"non-finite gradient in {name}")
     b1, b2 = options.adam_beta1, options.adam_beta2
-    m_rows = b1 * m[rows] + (1 - b1) * grad
-    v_rows = b2 * v[rows] + (1 - b2) * grad * grad
+    m_rows = m[rows]
+    m_rows *= b1
+    scaled = (1 - b1) * grad
+    m_rows += scaled
+    v_rows = v[rows]
+    v_rows *= b2
+    np.multiply(1 - b2, grad, out=scaled)
+    scaled *= grad
+    v_rows += scaled
     m[rows] = m_rows
     v[rows] = v_rows
-    m_hat = m_rows / (1 - b1 ** t)
-    v_hat = v_rows / (1 - b2 ** t)
-    theta[rows] -= options.learning_rate * m_hat / (np.sqrt(v_hat) + options.adam_epsilon)
+    m_rows /= 1 - b1 ** t  # m_hat
+    v_rows /= 1 - b2 ** t  # v_hat
+    np.sqrt(v_rows, out=v_rows)
+    v_rows += options.adam_epsilon
+    m_rows *= options.learning_rate
+    m_rows /= v_rows
+    theta_rows = theta[rows]
+    theta_rows -= m_rows
+    theta[rows] = theta_rows
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
@@ -212,7 +220,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
         sample_seconds = time.perf_counter() - s0
         kept = negatives >= 0
         sums = np.zeros(4)  # recon, l2, implication, total
-        n_batches = 0
+        n_batches = adam_rows = 0
         rule_seconds = grad_seconds = adam_seconds = 0.0
         for start in range(0, n, options.batch_size):
             part = slice(start, start + options.batch_size)
@@ -238,6 +246,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             a0 = time.perf_counter()
             adam_step(params, grads, state, options)
             adam_seconds += time.perf_counter() - a0
+            adam_rows += len(grads.relation_rows) + len(grads.tuple_rows)
         attempts_total, n_kept = int(attempts.sum()), int(kept.sum())
         collisions = attempts_total - n_kept  # every draw but each kept pair's last
         denom = max(n_batches, 1)
@@ -253,6 +262,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             sample_seconds=sample_seconds,
             grad_seconds=grad_seconds,
             adam_seconds=adam_seconds,
+            adam_rows=adam_rows,
         )
         stats.append(epoch_stats)
         if callbacks:

@@ -1,9 +1,10 @@
-"""Shared test oracles: finite-difference gradients, brute-force AP and the
-per-draw negative sampler.
+"""Shared test oracles: finite-difference gradients, brute-force AP, the
+per-draw negative sampler and out-of-place ADAM.
 
 These stay independent of the code paths they check: the gradient oracle
 only evaluates batch_loss, the AP oracle ranks by pairwise comparison
-instead of sorting, and the sampler oracle draws one scalar per attempt.
+instead of sorting, the sampler oracle draws one scalar per attempt, and
+the ADAM oracle evaluates the textbook expressions with fresh temporaries.
 """
 
 import numpy as np
@@ -33,6 +34,34 @@ def sample_negative(store, relation: int, rng, max_attempts: int = MAX_NEGATIVE_
         if candidate not in observed:
             return candidate, attempt
     return None, max_attempts
+
+
+def dense_gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> ModelParams:
+    """Exact analytic gradients of `batch_loss`, dense and shaped like `params`.
+
+    Scatters the row-compact training buffers into full matrices; rows the
+    batch does not touch are zero. Compared against finite differences.
+    """
+    rule_idx = model.rule_index_arrays(rules)
+    grads, _, _ = model.recon_l2_gradients(params, batch, rule_idx, config)
+    model.rule_gradients(params, rule_idx, config, grads)
+    dense = ModelParams(np.zeros_like(params.relations), np.zeros_like(params.tuple_pre))
+    dense.relations[grads.relation_rows] = grads.relations
+    dense.tuple_pre[grads.tuple_rows] = grads.tuple_pre
+    return dense
+
+
+def adam_update_oracle(theta, grad, m, v, rows, t, options):
+    """Lazy ADAM on rows `rows` of one block, out of place: the oracle that
+    `trainer._adam_update_block` must match byte for byte."""
+    b1, b2 = options.adam_beta1, options.adam_beta2
+    m_rows = b1 * m[rows] + (1 - b1) * grad
+    v_rows = b2 * v[rows] + (1 - b2) * grad * grad
+    m[rows] = m_rows
+    v[rows] = v_rows
+    m_hat = m_rows / (1 - b1 ** t)
+    v_hat = v_rows / (1 - b2 ** t)
+    theta[rows] -= options.learning_rate * m_hat / (np.sqrt(v_hat) + options.adam_epsilon)
 
 
 def finite_difference_gradients(params: ModelParams, batch: Batch, rules,

@@ -86,7 +86,7 @@ class TestTrainCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "recon", "l2", "implication", "total", "seconds",
                            "collision_rate", "rule_seconds", "dropped_pairs",
-                           "sample_seconds", "grad_seconds", "adam_seconds"]
+                           "sample_seconds", "grad_seconds", "adam_seconds", "adam_rows"]
         assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
         for row in rows[1:]:
             values = [float(cell) for cell in row]
@@ -96,7 +96,8 @@ class TestTrainCommand:
             assert row[8] == str(int(row[8]))
             # the phase timers are parts of the epoch's `seconds`
             assert all(values[i] > 0.0 for i in (9, 10, 11))
-            assert values[7] + sum(values[9:]) <= values[5]
+            assert values[7] + sum(values[9:12]) <= values[5]
+            assert row[12] == str(int(row[12])) and int(row[12]) > 0
 
     def test_missing_facts_file(self, tmp_path):
         args = ["train", "--facts", str(tmp_path / "absent.tsv"),

@@ -217,6 +217,21 @@ class TestBuildTasks:
         with pytest.raises(DataError, match="training fact: r\tb$"):
             build_tasks(train, test)
 
+    def test_first_clash_in_test_order_is_named(self):
+        # (q, c) has the larger key but comes first in the test file
+        train = FactStore.from_named_pairs([("r", "a"), ("r", "b"), ("q", "c")])
+        test = FactStore(train.relations, train.tuples,
+                         [(train.relations.id("q"), train.tuples.id("c")),
+                          (train.relations.id("r"), train.tuples.id("b"))])
+        with pytest.raises(DataError, match="training fact: q\tc$"):
+            build_tasks(train, test)
+
+    def test_empty_training_store_has_no_clash(self):
+        names = FactStore.from_named_pairs([("r", "a"), ("r", "b")])
+        train = FactStore(names.relations, names.tuples, [])
+        tasks = build_tasks(train, names)
+        assert [task.excluded.tolist() for task in tasks] == [[]]
+
 
 class TestAsymmetryReport:
     def test_identical_vectors_symmetric(self):

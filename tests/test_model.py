@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (away_from_hinge_kinks, batch_from_pairs, finite_difference_gradients,
-                     random_instance, relative_gradient_error)
+from helpers import (away_from_hinge_kinks, batch_from_pairs, dense_gradients,
+                     finite_difference_gradients, random_instance, relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import ParseError
@@ -167,14 +167,14 @@ class TestGradients:
         # all-zero params under FS: t_pos == t_neg == 0.5, so nothing moves
         config = ModelConfig(k=3, variant="fs", alpha=0.0)
         p = ModelParams(np.zeros((1, 3)), np.zeros((2, 3)))
-        grads = model.gradients(p, batch_from_pairs([(0, 0, 1)]), [], config)
+        grads = dense_gradients(p, batch_from_pairs([(0, 0, 1)]), [], config)
         assert np.allclose(grads.relations, 0.0)
         assert np.allclose(grads.tuple_pre, 0.0)
 
     def test_hinge_subgradient_is_beta_tilde(self):
         config = ModelConfig(k=2, variant="fsl", alpha=0.0, beta_tilde=0.1, delta=0.01)
         p = params_of([[0.5, -0.5], [0.0, 0.0]], [[0.0, 0.0]])
-        grads = model.gradients(p, batch_from_pairs([(0, 0, 0)]), [Rule(0, 1)], config)
+        grads = dense_gradients(p, batch_from_pairs([(0, 0, 0)]), [Rule(0, 1)], config)
         # dim 0 active (0.5 + 0.01 > 0), dim 1 inactive; recon cancels (same tuple)
         assert grads.relations[0, 0] == pytest.approx(0.1)
         assert grads.relations[1, 0] == pytest.approx(-0.1)
@@ -189,7 +189,7 @@ class TestGradients:
             p, batch, rules, config = random_instance(rng, variant, n_rules=n_rules)
             if rules and not away_from_hinge_kinks(p, rules, config.delta):
                 continue
-            analytic = model.gradients(p, batch, rules, config)
+            analytic = dense_gradients(p, batch, rules, config)
             numeric = finite_difference_gradients(p, batch, rules, config)
             err = relative_gradient_error((analytic.relations, analytic.tuple_pre), numeric)
             assert err < 1e-4, f"variant {variant}: relative error {err}"

@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import sample_negative
+from helpers import adam_update_oracle, sample_negative
 from liftedkb import model, trainer
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import NumericalError
@@ -71,13 +72,12 @@ class TestSampleNegative:
             relations = rng.integers(n_rel, size=int(rng.integers(0, 400)))
             sample_like_oracle(store, relations, seed=case, max_attempts=max_attempts)
 
-    @pytest.mark.parametrize("at", [0, trainer.FIRST_WINDOW - 1, trainer.FIRST_WINDOW,
-                                    3 * trainer.FIRST_WINDOW - 1, 3 * trainer.FIRST_WINDOW])
+    @pytest.mark.parametrize("at", [0, 63, 64, 191, 192])
     @pytest.mark.parametrize("drop", [False, True])
     def test_collision_on_window_edge(self, at, drop):
-        # relation 0 has no facts, so the one collision falls on fact `at`:
-        # the last fact of a window or the first of the next. Relation 1
-        # observes the tuple drawn there and, unless it drops, one tuple less.
+        # relation 0 has no facts, so the one collision falls on fact `at`,
+        # first or deep in the stream. Relation 1 observes the tuple drawn
+        # there and, unless it drops, one tuple less.
         draws = np.random.default_rng(at).integers(4, size=at + 100).tolist()
         free = -1 if drop else next(d for d in draws[at + 1:] if d != draws[at])
         store = FactStore(Vocab(["none", "edge"]), Vocab(["a", "b", "c", "d"]),
@@ -92,6 +92,20 @@ class TestSampleNegative:
         negatives, attempts = sample_like_oracle(edge_store(), relations, seed=4)
         assert attempts.sum() > len(relations) + trainer.MAX_NEGATIVE_ATTEMPTS
         assert (negatives == -1).sum() == relations.count(2)
+
+    @pytest.mark.parametrize("max_attempts", [1, trainer.MAX_NEGATIVE_ATTEMPTS])
+    def test_long_collision_chains(self, max_attempts):
+        # relation 0 observes 48 of 50 tuples: facts take about 25 draws
+        # each under the full cap, and the stream is extended several times
+        observed = np.random.default_rng(95).permutation(50)[:48]
+        store = FactStore(Vocab(["dense"]), Vocab([f"t{t}" for t in range(50)]),
+                          [(0, t) for t in observed.tolist()])
+        relations = [0] * 2000
+        negatives, attempts = sample_like_oracle(store, relations, seed=95,
+                                                 max_attempts=max_attempts)
+        if max_attempts > 1:  # three doublings of the first block did not suffice
+            assert attempts.sum() > 8 * (len(relations) + max_attempts)
+        assert 0 < (negatives == -1).sum() < len(relations)
 
     @pytest.mark.parametrize("n", [5_000, 100_000, 2**33])
     def test_batched_integers_equal_scalar_draws(self, n):
@@ -170,6 +184,54 @@ class TestAdamStep:
         grads.tuple_pre = np.zeros((1, 1))  # one buffer row, no touched rows
         with pytest.raises(ValueError, match="tuple pre-activations"):
             trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
+
+    @pytest.mark.parametrize("options", [
+        TrainOptions(epochs=1),
+        TrainOptions(epochs=1, learning_rate=0.02, adam_beta1=0.8, adam_beta2=0.95,
+                     adam_epsilon=1e-6)])
+    def test_matches_out_of_place_oracle_bytes(self, options):
+        rng = np.random.default_rng(31)
+        k, sizes = 6, (40, 300)  # relations, tuples
+        params = ModelParams(rng.normal(size=(sizes[0], k)), rng.normal(size=(sizes[1], k)))
+        state = AdamState.zeros(*sizes, k)
+        expected = [params.relations.copy(), params.tuple_pre.copy(),
+                    state.m_rel.copy(), state.v_rel.copy(),
+                    state.m_tup.copy(), state.v_tup.copy()]
+        specials = [0.0, -0.0, 5e-324, 1e-300, 1e150, -1e150, -1e-300]
+        for t in range(1, 6):
+            rows = [np.sort(rng.choice(size, int(rng.integers(2, size)), replace=False))
+                    for size in sizes]
+            grads = []
+            for block_rows in rows:
+                grad = rng.normal(size=(len(block_rows), k)) * 10.0 ** rng.integers(-8, 9)
+                grad.flat[rng.choice(grad.size, len(specials), replace=False)] = specials
+                grads.append(grad)
+            trainer.adam_step(params, Gradients(*grads, *rows), state, options)
+            theta_rel, theta_tup, m_rel, v_rel, m_tup, v_tup = expected
+            adam_update_oracle(theta_rel, grads[0], m_rel, v_rel, rows[0], t, options)
+            adam_update_oracle(theta_tup, grads[1], m_tup, v_tup, rows[1], t, options)
+            got = [params.relations, params.tuple_pre,
+                   state.m_rel, state.v_rel, state.m_tup, state.v_tup]
+            assert [a.tobytes() == b.tobytes() for a, b in zip(got, expected)] == [True] * 6
+
+    def test_tuple_step_peak_memory(self):
+        # one step over 1,000 of 20,000 tuple rows allocates a few row-sized
+        # buffers, not one per subexpression
+        rows, k = 1_000, 100
+        rng = np.random.default_rng(2)
+        params = ModelParams(np.zeros((1, k)), rng.normal(size=(20_000, k)))
+        state = AdamState.zeros(1, 20_000, k)
+        grads = Gradients(np.zeros((0, k)), rng.normal(size=(rows, k)),
+                          np.array([], dtype=np.int64),
+                          np.sort(rng.choice(20_000, rows, replace=False)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * rows * k * 8, f"peak {peak / (rows * k * 8):.2f}x the block"
 
     def test_moment_invariants(self):
         rng = np.random.default_rng(0)
@@ -277,6 +339,7 @@ class TestTrain:
             assert 0 <= s.collision_rate <= 1
             phases = (s.sample_seconds, s.grad_seconds, s.adam_seconds, s.rule_seconds)
             assert min(phases) >= 0 and sum(phases) <= s.seconds
+            assert s.adam_rows > 0
 
 
 class TestGoldenDigest:
