@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__, evaluation, mining, model, trainer
@@ -23,7 +24,7 @@ from .data import (FactStore, load_facts, load_facts_with_vocab, load_rules,
                    save_rules, Vocab)
 from .errors import DataError, NumericalError
 from .model import ModelConfig
-from .trainer import TrainOptions
+from .trainer import EpochStats, TrainOptions
 
 log = logging.getLogger(__name__)
 
@@ -78,34 +79,30 @@ def _write_report(args, command: str, inputs: dict, header, rows) -> Path:
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--variant", choices=model.VARIANTS, default="fs")
-    parser.add_argument("--k", type=int, default=100, help="embedding dimension")
-    parser.add_argument("--alpha", type=float, default=0.01, help="L2 weight")
-    parser.add_argument("--beta-tilde", type=float, default=0.1,
+    parser.add_argument("--variant", choices=model.VARIANTS, default=ModelConfig.variant)
+    parser.add_argument("--k", type=int, default=ModelConfig.k, help="embedding dimension")
+    parser.add_argument("--alpha", type=float, default=ModelConfig.alpha, help="L2 weight")
+    parser.add_argument("--beta-tilde", type=float, default=ModelConfig.beta_tilde,
                         help="implication-loss weight (fsl)")
-    parser.add_argument("--delta", type=float, default=0.01, help="hinge margin")
-    parser.add_argument("--init-low", type=float, default=-0.1)
-    parser.add_argument("--init-high", type=float, default=0.1)
+    parser.add_argument("--delta", type=float, default=ModelConfig.delta, help="hinge margin")
+    parser.add_argument("--init-low", type=float, default=ModelConfig.init_low)
+    parser.add_argument("--init-high", type=float, default=ModelConfig.init_high)
 
 
 def _add_train_flags(parser):
     parser.add_argument("--epochs", type=int, required=True)
-    parser.add_argument("--learning-rate", type=float, default=0.005)
-    parser.add_argument("--batch-size", type=int, default=8192)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--learning-rate", type=float, default=TrainOptions.learning_rate)
+    parser.add_argument("--batch-size", type=int, default=TrainOptions.batch_size)
+    parser.add_argument("--seed", type=int, default=TrainOptions.seed)
 
 
 def _config_and_options(args) -> tuple[ModelConfig, TrainOptions]:
-    """Model and training settings from the flags; invalid values are usage errors."""
+    """Model and training settings from the same-named flags; bad values are usage errors."""
     try:
-        config = ModelConfig(k=args.k, alpha=args.alpha, beta_tilde=args.beta_tilde,
-                             delta=args.delta, variant=args.variant,
-                             init_low=args.init_low, init_high=args.init_high)
-        options = TrainOptions(epochs=args.epochs, learning_rate=args.learning_rate,
-                               batch_size=args.batch_size, seed=args.seed)
+        return tuple(cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                     for cls in (ModelConfig, TrainOptions))
     except ValueError as exc:
         raise UsageError(exc) from None
-    return config, options
 
 
 def _load_rules_checked(path, relations) -> list:
@@ -129,16 +126,13 @@ def cmd_train(args) -> int:
     metrics = outdir / "metrics.csv"
     model.save_embeddings(checkpoint, result.params,
                           store.relations.names, store.tuples.names)
-    epochs = []
-    for st in result.stats:
-        reals = (st.loss.reconstruction, st.loss.l2, st.loss.implication,
-                 st.loss.total, st.seconds, st.collision_rate, st.rule_seconds)
-        timers = (st.sample_seconds, st.grad_seconds, st.adam_seconds)
-        epochs.append([st.epoch, *(repr(float(x)) for x in reals), st.dropped_pairs,
-                       *(repr(float(x)) for x in timers), st.adam_rows])
-    _write_csv(metrics, ["epoch", "recon", "l2", "implication", "total", "seconds",
-                         "collision_rate", "rule_seconds", "dropped_pairs", "sample_seconds",
-                         "grad_seconds", "adam_seconds", "adam_rows"], epochs)
+    # one column per EpochStats field, in field order; the loss spreads over four
+    header = [col for f in fields(EpochStats) for col in
+              (("recon", "l2", "implication", "total") if f.name == "loss" else [f.name])]
+    rows = [[repr(float(x)) if isinstance(x, float) else x
+             for v in astuple(st) for x in (v if isinstance(v, tuple) else [v])]
+            for st in result.stats]
+    _write_csv(metrics, header, rows)
     write_manifest(outdir / "manifest.json", "train", args,
                    {"facts": args.facts, "rules": args.rules}, [checkpoint, metrics])
     print(f"trained {options.epochs} epochs on {len(store)} facts "
@@ -252,7 +246,6 @@ def cmd_analyze_zero_shot(args) -> int:
                 implied.add(store.relations.id(name))
     else:
         implied = {r.consequent for r in rules}
-    config.variant = "fsl"
     curve = evaluation.zero_shot_sweep(store, test, rules, implied, fractions,
                                        config, options)
     table = [[repr(fraction), repr(wmap)] for fraction, wmap in curve.points]
@@ -283,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test fact file")
     p.add_argument("--train-facts", help="training facts, excluded from candidate pools")
-    p.add_argument("--variant", choices=model.VARIANTS, default="fs")
+    p.add_argument("--variant", choices=model.VARIANTS, default=ModelConfig.variant)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_eval)
 
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_model_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_analyze_zero_shot)
+    p.set_defaults(func=cmd_analyze_zero_shot, variant="fsl")
     return parser
 
 

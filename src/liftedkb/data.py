@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,8 @@ class FactStore:
     (fact positions sorted stably by relation) and of `_relation_tuples`
     (their tuple ids) belong to relation r, in fact order.
     Membership: `keys`, the sorted unique read-only int64 array of
-    `relation * len(tuples) + tuple`; the vocabularies must not grow after
-    construction. Ids outside them raise.
+    `relation * len(tuples) + tuple`, and `key_set`, the same as a set; the
+    vocabularies must not grow after construction. Ids outside them raise.
     """
 
     def __init__(self, relations: Vocab, tuples: Vocab, facts):
@@ -106,11 +107,13 @@ class FactStore:
     def __contains__(self, pair) -> bool:
         r, t = pair
         n_tuples = len(self.tuples)
-        if not (0 <= r < len(self.relations) and 0 <= t < n_tuples):
-            return False
-        key = r * n_tuples + t
-        at = np.searchsorted(self.keys, key)
-        return bool(at < len(self.keys) and self.keys[at] == key)
+        return (0 <= r < len(self.relations) and 0 <= t < n_tuples
+                and r * n_tuples + t in self.key_set)
+
+    @cached_property
+    def key_set(self) -> set[int]:
+        """`keys` as a set of Python ints, built once: the store never changes."""
+        return set(self.keys.tolist())
 
     def positions_of(self, relation: int) -> np.ndarray:
         """Positions in `facts` of the relation's facts, in fact order (read-only)."""

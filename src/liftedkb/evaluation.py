@@ -221,12 +221,12 @@ def subsample_relation_facts(store: FactStore, relations, fraction: float,
 
 
 def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied_relations,
-                    fractions, config: ModelConfig, options: trainer.TrainOptions,
-                    init_range=ZERO_SHOT_INIT) -> ZeroShotCurve:
+                    fractions, config: ModelConfig,
+                    options: trainer.TrainOptions) -> ZeroShotCurve:
     """Weighted MAP on the implied relations vs. fraction of their train facts.
 
     For each fraction, the implied relations' training facts are subsampled
-    (seeded), the implied relations are initialized from `init_range`, the
+    (seeded), the implied relations are initialized from `ZERO_SHOT_INIT`, the
     model is trained, and the implied relations are evaluated on `test`.
     The ranking tasks are built once from the full `train` store so the
     curve compares the same task at every fraction.
@@ -236,7 +236,7 @@ def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied_relations,
     implied = set(implied_relations)
     if not implied:
         raise DataError("no implied relations given")
-    overrides = {rid: init_range for rid in sorted(implied)}
+    overrides = {rid: ZERO_SHOT_INIT for rid in sorted(implied)}
     tasks = [t for t in build_tasks(train, test) if t.relation in implied]
     if not tasks:
         raise DataError("implied relations have no test facts")

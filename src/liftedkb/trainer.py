@@ -38,6 +38,12 @@ log = logging.getLogger(__name__)
 
 MAX_NEGATIVE_ATTEMPTS = 100
 
+# ADAM's moment decay rates and denominator guard, fixed at the defaults of
+# Kingma & Ba (2015) as in the paper; only the learning rate is an option.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class TrainOptions:
@@ -45,17 +51,12 @@ class TrainOptions:
     learning_rate: float = 0.005
     batch_size: int = 8192
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -101,7 +102,7 @@ def sample_negatives(store: FactStore, relations, rng,
     """
     relations = np.asarray(relations, dtype=np.int64)
     n, n_tuples = len(relations), len(store.tuples)
-    observed = set(store.keys.tolist())
+    observed = store.key_set
     negatives = []
     attempts = np.ones(n, dtype=np.int64)
     saved = rng.bit_generator.state
@@ -142,22 +143,21 @@ def _adam_update_block(name, theta, grad, m, v, rows, t, options):
                          f"for {len(rows)} touched rows")
     if not np.all(np.isfinite(grad)):
         raise NumericalError(f"non-finite gradient in {name}")
-    b1, b2 = options.adam_beta1, options.adam_beta2
     m_rows = m[rows]
-    m_rows *= b1
-    scaled = (1 - b1) * grad
+    m_rows *= ADAM_BETA1
+    scaled = (1 - ADAM_BETA1) * grad
     m_rows += scaled
     v_rows = v[rows]
-    v_rows *= b2
-    np.multiply(1 - b2, grad, out=scaled)
+    v_rows *= ADAM_BETA2
+    np.multiply(1 - ADAM_BETA2, grad, out=scaled)
     scaled *= grad
     v_rows += scaled
     m[rows] = m_rows
     v[rows] = v_rows
-    m_rows /= 1 - b1 ** t  # m_hat
-    v_rows /= 1 - b2 ** t  # v_hat
+    m_rows /= 1 - ADAM_BETA1 ** t  # m_hat
+    v_rows /= 1 - ADAM_BETA2 ** t  # v_hat
     np.sqrt(v_rows, out=v_rows)
-    v_rows += options.adam_epsilon
+    v_rows += ADAM_EPSILON
     m_rows *= options.learning_rate
     m_rows /= v_rows
     theta_rows = theta[rows]
@@ -249,12 +249,9 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             adam_rows += len(grads.relation_rows) + len(grads.tuple_rows)
         attempts_total, n_kept = int(attempts.sum()), int(kept.sum())
         collisions = attempts_total - n_kept  # every draw but each kept pair's last
-        denom = max(n_batches, 1)
-        mean_loss = LossBreakdown(sums[0] / denom, sums[1] / denom,
-                                  sums[2] / denom, sums[3] / denom)
         epoch_stats = EpochStats(
             epoch=epoch,
-            loss=mean_loss,
+            loss=LossBreakdown(*(sums / max(n_batches, 1))),
             seconds=time.perf_counter() - t0,
             collision_rate=collisions / max(attempts_total, 1),
             rule_seconds=rule_seconds,

@@ -11,7 +11,8 @@ import numpy as np
 
 from liftedkb import model
 from liftedkb.model import Batch, ModelConfig, ModelParams
-from liftedkb.trainer import MAX_NEGATIVE_ATTEMPTS
+from liftedkb.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                              MAX_NEGATIVE_ATTEMPTS)
 
 
 def batch_from_pairs(triples) -> Batch:
@@ -54,14 +55,14 @@ def dense_gradients(params: ModelParams, batch: Batch, rules, config: ModelConfi
 def adam_update_oracle(theta, grad, m, v, rows, t, options):
     """Lazy ADAM on rows `rows` of one block, out of place: the oracle that
     `trainer._adam_update_block` must match byte for byte."""
-    b1, b2 = options.adam_beta1, options.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_rows = b1 * m[rows] + (1 - b1) * grad
     v_rows = b2 * v[rows] + (1 - b2) * grad * grad
     m[rows] = m_rows
     v[rows] = v_rows
     m_hat = m_rows / (1 - b1 ** t)
     v_hat = v_rows / (1 - b2 ** t)
-    theta[rows] -= options.learning_rate * m_hat / (np.sqrt(v_hat) + options.adam_epsilon)
+    theta[rows] -= options.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def finite_difference_gradients(params: ModelParams, batch: Batch, rules,

@@ -1,12 +1,16 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from liftedkb.cli import main
+from liftedkb.cli import build_parser, main
 from liftedkb.data import holdout_split
+from liftedkb.model import ModelConfig
 from liftedkb.synthetic import clustered_corpus
+from liftedkb.trainer import TrainOptions
 
 
 @pytest.fixture()
@@ -286,6 +290,21 @@ class TestAnalyzeCommand:
         assert len(rows) == 5
         assert [float(r[0]) for r in rows[1:]] == [0.0, 0.25, 0.5, 1.0]
 
+    def test_zero_shot_honours_variant(self, corpus_files, tmp_path):
+        def run(*variant):
+            out = tmp_path / f"zs{'-'.join(variant)}.csv"
+            assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
+                         "--test", str(corpus_files["test"]),
+                         "--rules", str(corpus_files["rules"]), "--fractions", "0,1.0",
+                         "--k", "6", "--epochs", "3", "--batch-size", "64",
+                         "--out", str(out), *variant]) == 0
+            flags = json.loads(out.with_suffix(".csv.manifest.json").read_text())["flags"]
+            return out.read_bytes(), flags["variant"]
+
+        default, fsl, fs = run(), run("--variant", "fsl"), run("--variant", "fs")
+        assert default == (fsl[0], "fsl")
+        assert fs[1] == "fs" and fs[0] != fsl[0]
+
     @pytest.mark.parametrize("fractions", ["0,x", "0.5,0.25", "0,0"])
     def test_bad_fractions_are_usage_errors(self, corpus_files, tmp_path, fractions):
         assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
@@ -305,6 +324,31 @@ class TestAnalyzeCommand:
     def test_missing_mode_inputs_usage_error(self, corpus_files, tmp_path):
         assert main(["analyze", "asymmetry", "--rules", str(corpus_files["rules"]),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def _subparser(*names):
+    parser = build_parser()
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+class TestFlagSchema:
+    @pytest.mark.parametrize("command, own_defaults", [
+        (("train",), {}), (("analyze", "zero-shot"), {"variant": "fsl"})],
+        ids=["train", "zero-shot"])
+    def test_one_flag_per_config_field(self, command, own_defaults):
+        actions = {a.option_strings[0]: a for a in _subparser(*command)._actions
+                   if a.option_strings}
+        for field in dataclasses.fields(ModelConfig) + dataclasses.fields(TrainOptions):
+            action = actions["--" + field.name.replace("_", "-")]
+            assert action.dest == field.name
+            if field.default is dataclasses.MISSING:
+                assert action.required
+            else:
+                assert not action.required
+                assert action.default == own_defaults.get(field.name, field.default)
 
 
 class TestExitCodes:

@@ -120,6 +120,13 @@ class TestFactStore:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_key_set_is_built_once(self):
+        store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y", "z"]),
+                          [(1, 2), (0, 1), (1, 0), (0, 1)])
+        assert store.key_set is store.key_set
+        assert store.key_set == set(store.keys.tolist()) == {1, 3, 5}
+        assert all(type(key) is int for key in store.key_set)
+
     def test_subset_takes_a_boolean_mask(self):
         store = FactStore(Vocab(["a", "b"]), Vocab(["x", "y"]), [(0, 0), (1, 1), (0, 1)])
         kept = store.subset(np.array([True, False, True]))

@@ -187,8 +187,7 @@ class TestAdamStep:
 
     @pytest.mark.parametrize("options", [
         TrainOptions(epochs=1),
-        TrainOptions(epochs=1, learning_rate=0.02, adam_beta1=0.8, adam_beta2=0.95,
-                     adam_epsilon=1e-6)])
+        TrainOptions(epochs=1, learning_rate=0.02)])
     def test_matches_out_of_place_oracle_bytes(self, options):
         rng = np.random.default_rng(31)
         k, sizes = 6, (40, 300)  # relations, tuples
