@@ -142,48 +142,14 @@ class Gradients:
     `relations` has shape (len(relation_rows), k) and `tuple_pre` shape
     (len(tuple_rows), k); row i is the gradient of parameter row
     `relation_rows[i]` / `tuple_rows[i]`. The row arrays are sorted and
-    unique, so a buffer position is `np.searchsorted(rows, id)`. Buffer size
-    depends on the batch, never on the vocabulary sizes.
+    unique, so a buffer position is `np.searchsorted(rows, id)` (the batch's
+    own ids take theirs from `np.unique`'s inverse). Buffer size depends on
+    the batch, never on the vocabulary sizes.
     """
     relations: np.ndarray
     tuple_pre: np.ndarray
     relation_rows: np.ndarray
     tuple_rows: np.ndarray
-
-
-def touched_rows(batch: Batch, rule_idx) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique relation and tuple rows of a batch plus its rule relations.
-
-    `rule_idx` is the (antecedents, consequents) pair of `rule_index_arrays`.
-    """
-    rel = np.concatenate([batch.relations, *rule_idx])
-    tup = np.concatenate([batch.positives, batch.negatives])
-    return np.unique(rel), np.unique(tup)
-
-
-def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> LossBreakdown:
-    """Total loss for one batch: BPR reconstruction + L2 + lifted rule losses.
-
-    The L2 term covers the parameter rows touched by this batch (including
-    rule relations), each counted once; this is the sparse-training reading
-    of the global regularizer and is exactly what `recon_l2_gradients` plus
-    `rule_gradients` differentiate.
-    """
-    t_pos = effective_tuples(params, config.variant, batch.positives)
-    t_neg = effective_tuples(params, config.variant, batch.negatives)
-    r = params.relations[batch.relations]
-    s = np.einsum("ij,ij->i", r, t_neg - t_pos)
-    recon = float(recon_pair_loss(s).sum())
-
-    rel_rows, tup_rows = touched_rows(batch, rule_index_arrays(rules))
-    l2 = float(np.sum(params.relations[rel_rows] ** 2)
-               + np.sum(params.tuple_pre[tup_rows] ** 2))
-
-    implication = 0.0
-    if rules:
-        for rule in rules:
-            implication += lifted_rule_loss(params, rule, config.delta)
-    return LossBreakdown.build(recon, l2, implication, config.alpha, config.beta_tilde)
 
 
 def scatter_rows(at, values, n_rows: int) -> np.ndarray:
@@ -198,44 +164,53 @@ def scatter_rows(at, values, n_rows: int) -> np.ndarray:
     return onehot @ values
 
 
-def _tuple_contributions(w, r, t_neg, t_pos, config: ModelConfig) -> np.ndarray:
-    """(2m, k) per-pair tuple gradients, the m negatives' rows then the m
-    positives', filled in place in the operand order of `w * r * t * (1 - t)`
-    (FS, FSL) or `w * r` (F), with `-w` for positives. Overwrites `t_neg`
-    and `t_pos`. The caller passes the buffer straight to `scatter_rows`,
-    so it is freed before the L2 terms allocate theirs."""
+def _tuple_contributions(w, r, t, config: ModelConfig) -> np.ndarray:
+    """Turns `t`, the (2m, k) effective tuples of the m negatives then the m
+    positives, into their per-pair gradients in place and returns it:
+    `((w * r) * t) * (1 - t)` (FS, FSL) or `w * r` (F), with `-w` for
+    positives. The operand order is that of the per-occurrence form, so the
+    bits are too; one m x k scratch buffer holds `w * r`."""
     m = len(r)
-    contrib = np.empty((2 * m, r.shape[1]))
-    for part, weight, t in ((contrib[:m], w, t_neg), (contrib[m:], -w, t_pos)):
-        np.multiply(weight, r, out=part)
-        if config.sigmoid_tuples:
-            part *= t
-            part *= np.subtract(1.0, t, out=t)
-    return contrib
+    scratch = np.empty_like(r) if config.sigmoid_tuples else None
+    for part, weight in ((t[:m], w), (t[m:], -w)):
+        if scratch is None:
+            np.multiply(weight, r, out=part)
+        else:
+            np.multiply(weight, r, out=scratch)
+            scratch *= part
+            np.subtract(1.0, part, out=part)
+            part *= scratch
+    return t
 
 
 def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
                        config: ModelConfig) -> tuple[Gradients, float, float]:
     """Gradients of the reconstruction + L2 terms; returns (grads, recon, l2).
 
-    The buffers are row-compact over `touched_rows(batch, rule_idx)`, so
-    the rule relations already have rows for `rule_gradients` to add into.
-    Each row accumulates the same values in the same order as a dense
-    buffer indexed by parameter id would.
+    The buffers are row-compact over the unique relations of the batch and
+    its rules (`rule_idx`, so `rule_gradients` has rows to add into) and the
+    unique tuples of the batch. The tuple sigmoid runs once per unique row;
+    one (2m, k) gather of it, negatives then positives, becomes the tuple
+    gradients in place. Each row accumulates the same values in the same
+    order as a dense buffer indexed by parameter id would.
     """
-    rel_rows, tup_rows = touched_rows(batch, rule_idx)
-    t_pos = effective_tuples(params, config.variant, batch.positives)
-    t_neg = effective_tuples(params, config.variant, batch.negatives)
+    m = len(batch)
+    rel_rows, rel_at = np.unique(np.concatenate([batch.relations, *rule_idx]),
+                                 return_inverse=True)
+    tup_rows, tup_at = np.unique(np.concatenate([batch.negatives, batch.positives]),
+                                 return_inverse=True)
+    t = effective_tuples(params, config.variant, tup_rows)[tup_at]
     r = params.relations[batch.relations]
-    s = np.einsum("ij,ij->i", r, t_neg - t_pos)
+    diff = t[:m] - t[m:]
+    s = np.einsum("ij,ij->i", r, diff)
     recon = float(recon_pair_loss(s).sum())
     w = sigmoid(s)[:, None]  # d softplus(s) / ds
 
-    grad_rel = scatter_rows(np.searchsorted(rel_rows, batch.relations),
-                            w * (t_neg - t_pos), len(rel_rows))
-    tup_at = np.searchsorted(tup_rows, np.concatenate([batch.negatives, batch.positives]))
-    grad_tup = scatter_rows(tup_at, _tuple_contributions(w, r, t_neg, t_pos, config),
-                            len(tup_rows))
+    diff *= w
+    grad_rel = scatter_rows(rel_at[:m], diff, len(rel_rows))
+    del diff  # freed before `_tuple_contributions` allocates its scratch
+    grad_tup = scatter_rows(tup_at, _tuple_contributions(w, r, t, config), len(tup_rows))
+    del t, r  # freed before the L2 terms gather their rows
 
     rel_params = params.relations[rel_rows]
     tup_params = params.tuple_pre[tup_rows]
@@ -251,7 +226,7 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
 
     The hinge subgradient at the kink is 0 (constraint already satisfied).
     `rule_idx` is a pair of index arrays (antecedents, consequents); every
-    rule relation must be in `grads.relation_rows`, as `touched_rows`
+    rule relation must be in `grads.relation_rows`, as `recon_l2_gradients`
     guarantees. It adds with `np.add.at` into the filled rows, one value
     at a time; summing the rule terms apart first (`scatter_rows`) would
     round differently.

@@ -1,16 +1,21 @@
-"""Shared test oracles: finite-difference gradients, brute-force AP, the
-per-draw negative sampler and out-of-place ADAM.
+"""Shared test oracles: the batch loss and its per-occurrence gradients,
+finite-difference gradients, brute-force AP, the per-draw negative sampler
+and out-of-place ADAM.
 
-These stay independent of the code paths they check: the gradient oracle
-only evaluates batch_loss, the AP oracle ranks by pairwise comparison
-instead of sorting, the sampler oracle draws one scalar per attempt, and
-the ADAM oracle evaluates the textbook expressions with fresh temporaries.
+These stay independent of the code paths they check: `batch_loss` and
+`recon_l2_gradients_oracle` take the sigmoid once per pair occurrence, the
+latter summing rows with `np.add.at`; the finite-difference oracle only
+evaluates `batch_loss`, the AP oracle ranks by pairwise comparison instead
+of sorting, the sampler oracle draws one scalar per attempt, and the ADAM
+oracle evaluates the textbook expressions with fresh temporaries.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from liftedkb import model
-from liftedkb.model import Batch, ModelConfig, ModelParams
+from liftedkb.model import (Batch, Gradients, LossBreakdown, ModelConfig, ModelParams,
+                            effective_tuples, lifted_rule_loss, recon_pair_loss)
 from liftedkb.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                               MAX_NEGATIVE_ATTEMPTS)
 
@@ -35,6 +40,72 @@ def sample_negative(store, relation: int, rng, max_attempts: int = MAX_NEGATIVE_
         if candidate not in observed:
             return candidate, attempt
     return None, max_attempts
+
+
+def touched_rows(batch: Batch, rule_idx) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique relation and tuple rows of a batch plus its rule relations.
+
+    `rule_idx` is the (antecedents, consequents) pair of `rule_index_arrays`.
+    """
+    rel = np.concatenate([batch.relations, *rule_idx])
+    tup = np.concatenate([batch.positives, batch.negatives])
+    return np.unique(rel), np.unique(tup)
+
+
+def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> LossBreakdown:
+    """Total loss for one batch: BPR reconstruction + L2 + lifted rule losses.
+
+    The L2 term covers the parameter rows touched by this batch (including
+    rule relations), each counted once; this is the sparse-training reading
+    of the global regularizer and is exactly what `recon_l2_gradients` plus
+    `rule_gradients` differentiate.
+    """
+    t_pos = effective_tuples(params, config.variant, batch.positives)
+    t_neg = effective_tuples(params, config.variant, batch.negatives)
+    r = params.relations[batch.relations]
+    s = np.einsum("ij,ij->i", r, t_neg - t_pos)
+    recon = float(recon_pair_loss(s).sum())
+
+    rel_rows, tup_rows = touched_rows(batch, model.rule_index_arrays(rules))
+    l2 = float(np.sum(params.relations[rel_rows] ** 2)
+               + np.sum(params.tuple_pre[tup_rows] ** 2))
+
+    implication = 0.0
+    for rule in rules:
+        implication += lifted_rule_loss(params, rule, config.delta)
+    return LossBreakdown.build(recon, l2, implication, config.alpha, config.beta_tilde)
+
+
+def recon_l2_gradients_oracle(params: ModelParams, batch: Batch, rule_idx,
+                              config: ModelConfig) -> tuple[Gradients, float, float]:
+    """`model.recon_l2_gradients` per pair occurrence: the sigmoid on the
+    positives and the negatives apart, each term built with fresh
+    temporaries in the operand order `((w * r) * t) * (1 - t)`, and every
+    row summed from 0.0 by `np.add.at`, negatives' terms before positives'.
+    The training path must match it byte for byte."""
+    rel_rows, tup_rows = touched_rows(batch, rule_idx)
+    t_pos = effective_tuples(params, config.variant, batch.positives)
+    t_neg = effective_tuples(params, config.variant, batch.negatives)
+    r = params.relations[batch.relations]
+    s = np.einsum("ij,ij->i", r, t_neg - t_pos)
+    recon = float(recon_pair_loss(s).sum())
+    w = expit(s)[:, None]
+
+    grad_rel = np.zeros((len(rel_rows), r.shape[1]))
+    np.add.at(grad_rel, np.searchsorted(rel_rows, batch.relations), w * (t_neg - t_pos))
+    grad_tup = np.zeros((len(tup_rows), r.shape[1]))
+    for rows, weight, t in ((batch.negatives, w, t_neg), (batch.positives, -w, t_pos)):
+        term = weight * r
+        if config.sigmoid_tuples:
+            term = term * t * (1.0 - t)
+        np.add.at(grad_tup, np.searchsorted(tup_rows, rows), term)
+
+    rel_params = params.relations[rel_rows]
+    tup_params = params.tuple_pre[tup_rows]
+    grad_rel += 2.0 * config.alpha * rel_params
+    grad_tup += 2.0 * config.alpha * tup_params
+    l2 = float(np.sum(rel_params ** 2) + np.sum(tup_params ** 2))
+    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows), recon, l2
 
 
 def dense_gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> ModelParams:
@@ -70,7 +141,7 @@ def finite_difference_gradients(params: ModelParams, batch: Batch, rules,
     """Central finite differences of batch_loss w.r.t. every parameter."""
     def loss_at(relations, tuple_pre):
         p = ModelParams(relations, tuple_pre)
-        return model.batch_loss(p, batch, rules, config).total
+        return batch_loss(p, batch, rules, config).total
 
     grad_rel = np.zeros_like(params.relations)
     grad_tup = np.zeros_like(params.tuple_pre)

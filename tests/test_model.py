@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import (away_from_hinge_kinks, batch_from_pairs, dense_gradients,
-                     finite_difference_gradients, random_instance, relative_gradient_error)
+from helpers import (away_from_hinge_kinks, batch_from_pairs, batch_loss, dense_gradients,
+                     finite_difference_gradients, random_instance,
+                     recon_l2_gradients_oracle, relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import ParseError
@@ -199,7 +202,7 @@ class TestGradients:
         # analytic gradients differentiate exactly the reported batch loss
         rng = np.random.default_rng(6)
         p, batch, rules, config = random_instance(rng, "fsl", n_rules=1)
-        loss = model.batch_loss(p, batch, rules, config)
+        loss = batch_loss(p, batch, rules, config)
         assert loss.total == loss.reconstruction + config.alpha * loss.l2 \
             + config.beta_tilde * loss.implication
 
@@ -234,6 +237,78 @@ class TestCompactGradients:
             results.append(grads)
         assert np.array_equal(results[0].tuple_pre, results[1].tuple_pre)
         assert np.array_equal(results[0].relations, results[1].relations)
+
+
+def gather_instance(variant, shape, m=3_000, k=6, seed=0):
+    """Params, batch and rule index arrays for the one-gather forward pass.
+
+    `repeats` draws m pairs from 5 relations and 12 tuples; `self_pairs`
+    makes every third pair's negative its positive; `rules_outside_batch`
+    puts the rules on relations 6-9, which the batch never names. Row
+    scales of 1e-3..1e2 make any change of summation order change bits.
+    """
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(k=k, variant=variant, alpha=0.01)
+    scale = 10.0 ** rng.uniform(-3, 2, (40, 1))
+    params = ModelParams(rng.normal(size=(10, k)) * scale[:10],
+                         rng.normal(size=(40, k)) * scale)
+    relations = rng.integers(5, size=m)
+    positives = rng.integers(12, size=m)
+    negatives = rng.integers(12, size=m)
+    if shape == "self_pairs":
+        negatives[::3] = positives[::3]
+    ant, cons = ([6, 8], [7, 9]) if shape == "rules_outside_batch" else ([0, 3], [4, 1])
+    return params, Batch(relations, positives, negatives), \
+        (np.array(ant), np.array(cons)), config
+
+
+class TestOneGatherForward:
+    @pytest.mark.parametrize("shape", ["repeats", "self_pairs", "rules_outside_batch"])
+    @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
+    def test_bytes_equal_per_occurrence_oracle(self, variant, shape):
+        params, batch, rule_idx, config = gather_instance(variant, shape)
+        got, recon, l2 = model.recon_l2_gradients(params, batch, rule_idx, config)
+        want, want_recon, want_l2 = recon_l2_gradients_oracle(params, batch, rule_idx, config)
+        assert [got.relations.tobytes(), got.tuple_pre.tobytes(), recon, l2] == \
+            [want.relations.tobytes(), want.tuple_pre.tobytes(), want_recon, want_l2]
+        assert np.array_equal(got.relation_rows, want.relation_rows)
+        assert np.array_equal(got.tuple_rows, want.tuple_rows)
+
+    @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
+    def test_sigmoid_once_per_touched_tuple_row(self, monkeypatch, variant):
+        sizes = []
+        real = model.effective_tuples
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(model, "effective_tuples", counting)
+        params, batch, rule_idx, config = gather_instance(variant, "repeats")
+        grads, _, _ = model.recon_l2_gradients(params, batch, rule_idx, config)
+        assert sizes == [len(grads.tuple_rows) * config.k]
+        assert len(grads.tuple_rows) < 2 * len(batch)
+
+    def test_peak_memory(self):
+        # one 8192 x 50 FSL batch over 4,666 tuples: the (2m, k) gather, the
+        # m x k relation rows and one m x k difference or scratch at a time,
+        # not two gathers beside a separate (2m, k) contribution buffer
+        m, k = 8_192, 50
+        rng = np.random.default_rng(9)
+        config = ModelConfig(k=k, variant="fsl")
+        params = ModelParams(rng.normal(size=(250, k)), rng.normal(size=(4_666, k)))
+        batch = Batch(rng.integers(250, size=m), rng.integers(4_666, size=m),
+                      rng.integers(4_666, size=m))
+        rule_idx = model.rule_index_arrays([Rule(0, 1), Rule(2, 3)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.recon_l2_gradients(params, batch, rule_idx, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * m * k * 8, f"peak {peak / (m * k * 8):.2f}x m*k*8"
 
 
 class TestPersistence:
