@@ -125,7 +125,7 @@ def cmd_train(args) -> int:
     checkpoint = outdir / "checkpoint.txt"
     metrics = outdir / "metrics.csv"
     model.save_embeddings(checkpoint, result.params,
-                          store.relations.names, store.tuples.names)
+                          store.relations.names, store.tuples.names, config.variant)
     # one column per EpochStats field, in field order; the loss spreads over four
     header = [col for f in fields(EpochStats) for col in
               (("recon", "l2", "implication", "total") if f.name == "loss" else [f.name])]
@@ -141,13 +141,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path):
-    params, rel_names, tup_names = model.load_embeddings(path)
+def _load_checkpoint(args):
+    """Load `--checkpoint`; its header sets `args.variant`, which `--variant` must match."""
+    params, rel_names, tup_names, variant = model.load_embeddings(args.checkpoint)
+    if getattr(args, "variant", None) not in (None, variant):
+        raise UsageError(f"--variant {args.variant} does not match the checkpoint's "
+                         f"variant {variant}")
+    args.variant = variant
     return params, Vocab(rel_names), Vocab(tup_names)
 
 
 def cmd_eval(args) -> int:
-    params, relations, tuples = _load_checkpoint(args.checkpoint)
+    params, relations, tuples = _load_checkpoint(args)
     test = load_facts_with_vocab(args.test, relations, tuples)
     if args.train_facts:
         train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
@@ -183,7 +188,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_analyze_asymmetry(args) -> int:
-    params, relations, tuples = _load_checkpoint(args.checkpoint)
+    params, relations, tuples = _load_checkpoint(args)
     train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
     rules = _load_rules_checked(args.rules, relations)
     rows, grand_fwd, grand_bwd = evaluation.asymmetry_report(
@@ -203,7 +208,7 @@ def cmd_analyze_asymmetry(args) -> int:
 
 def cmd_analyze_matrix(args) -> int:
     import numpy as np
-    params, relations, _tuples = _load_checkpoint(args.checkpoint)
+    params, relations, _tuples = _load_checkpoint(args)
     rules = _load_rules_checked(args.rules, relations)
     involved = sorted({i for r in rules for i in (r.antecedent, r.consequent)})
     if not involved:
@@ -227,6 +232,8 @@ def cmd_analyze_zero_shot(args) -> int:
     except ValueError:
         raise UsageError(f"--fractions: expected comma-separated numbers, "
                          f"got {args.fractions!r}") from None
+    if not all(0 <= f <= 1 for f in fractions):
+        raise UsageError(f"--fractions must lie in [0, 1], got {args.fractions!r}")
     if fractions != sorted(set(fractions)):
         raise UsageError("--fractions must be strictly increasing")
     store = load_facts(args.facts)
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test fact file")
     p.add_argument("--train-facts", help="training facts, excluded from candidate pools")
-    p.add_argument("--variant", choices=model.VARIANTS, default=ModelConfig.variant)
+    p.add_argument("--variant", choices=model.VARIANTS, help="must equal the checkpoint's variant")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_eval)
 
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--train-facts", required=True)
-    p.add_argument("--variant", choices=model.VARIANTS, default="fsl")
+    p.add_argument("--variant", choices=model.VARIANTS, help="must equal the checkpoint's variant")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_asymmetry)
 

@@ -203,8 +203,11 @@ def subsample_relation_facts(store: FactStore, relations, fraction: float,
     """Keep a seeded `fraction` of the facts of the given relations.
 
     Original fact order is preserved, so fraction 1.0 returns a store
-    identical to the input (same facts, same order, same ids).
+    identical to the input (same facts, same order, same ids). A fraction
+    outside [0, 1], or NaN, raises ValueError.
     """
+    if not 0 <= fraction <= 1:
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction!r}")
     rng = np.random.default_rng(seed)
     drop = np.zeros(len(store), dtype=bool)
     for rid in sorted(relations):

@@ -12,6 +12,7 @@ gradient checks in the test suite rely on that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.alpha < 0 or self.beta_tilde < 0 or self.delta < 0:
-            raise ValueError("alpha, beta_tilde, delta must be non-negative")
+        # chained comparisons are False for NaN, so a NaN setting is rejected too
+        if not all(0 <= x < math.inf for x in (self.alpha, self.beta_tilde, self.delta)):
+            raise ValueError("alpha, beta_tilde, delta must be finite and non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.init_low < self.init_high:
-            raise ValueError("init_low must be < init_high")
+        if not -math.inf < self.init_low < self.init_high < math.inf:
+            raise ValueError("init_low and init_high must be finite, with init_low < init_high")
 
     @property
     def sigmoid_tuples(self) -> bool:
@@ -269,16 +271,18 @@ def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,
     return ModelParams(relations, tuple_pre)
 
 
-def save_embeddings(path, params: ModelParams, relation_names, tuple_names) -> None:
-    """Text persistence: `k <dim>` header, `R <name> <reals>` / `E <name> <reals>` lines.
+def save_embeddings(path, params: ModelParams, relation_names, tuple_names, variant) -> None:
+    """Text persistence: `k <dim> variant <v>` header, `R|E <name> <reals>` lines.
 
-    Tuple lines store pre-activations. 17 significant digits make the
-    round trip bit-exact for float64. Names must not contain whitespace.
+    The header names the variant, which decides how tuples are scored (raw
+    for F, sigmoid for FS/FSL). Tuple lines store pre-activations; 17
+    significant digits make the round trip bit-exact for float64. Names
+    must not contain whitespace.
     """
     k = params.relations.shape[1]
     row_format = " ".join(["%.17g"] * k)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"k {k}\n")
+        fh.write(f"k {k} variant {variant}\n")
         for tag, names, matrix in (("R", relation_names, params.relations),
                                    ("E", tuple_names, params.tuple_pre)):
             for name, row in zip(names, matrix):
@@ -286,19 +290,22 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names) -> N
 
 
 def load_embeddings(path):
-    """Inverse of save_embeddings; returns (params, relation_names, tuple_names).
+    """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
 
-    A bad header, a malformed or non-numeric row, or a name repeated within
-    the R or E rows raises ParseError with the line number.
+    Any header but `k <dim> variant <f|fs|fsl>` (the older `k <dim>` too; no
+    variant is assumed), a malformed or non-numeric row, or a name repeated
+    within the R or E rows raises ParseError with the line number.
     """
     rows = {"R": [], "E": []}
     names = {"R": {}, "E": {}}  # name -> line number, in file order
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if (len(header) != 2 or header[0] != "k" or not header[1].isdecimal()
-                or int(header[1]) < 1):
-            raise ParseError(f"{path}:1: expected `k <dim>` header with dim >= 1")
-        k = int(header[1])
+        if (len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+                or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
+            raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
+                             " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
+                             " v the variant the model was trained with")
+        k, variant = int(header[1]), header[3]
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -317,4 +324,4 @@ def load_embeddings(path):
     if not rows["R"] or not rows["E"]:
         raise ParseError(f"{path}: checkpoint has no relations or no tuples")
     params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))
-    return params, list(names["R"]), list(names["E"])
+    return params, list(names["R"]), list(names["E"]), variant

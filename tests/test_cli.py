@@ -2,11 +2,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from liftedkb.cli import build_parser, main
+from liftedkb.cli import build_parser, entrypoint, main
 from liftedkb.data import holdout_split
 from liftedkb.model import ModelConfig
 from liftedkb.synthetic import clustered_corpus
@@ -114,6 +115,19 @@ class TestTrainCommand:
         assert main(args) == 1
         assert "usage error: k must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "nan"), ("--alpha", "inf"), ("--beta-tilde", "nan"),
+        ("--init-high", "inf"), ("--learning-rate", "nan"), ("--learning-rate", "inf")])
+    def test_non_finite_setting_is_usage_error_before_loading(self, tmp_path, capsys,
+                                                              flag, value):
+        args = ["train", "--facts", str(tmp_path / "absent.tsv"), "--rules", "absent.tsv",
+                "--variant", "fsl", "--out", str(tmp_path / "x"), "--epochs", "1",
+                flag, value]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "absent.tsv" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_whitespace_in_name_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
         facts.write_text("r\ta|b\nborn in\tA|B\n", encoding="utf-8")
@@ -163,6 +177,39 @@ class TestEvalCommand:
         assert main(base + ["--out", str(r1)]) == 0
         assert main(base + ["--out", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    def eval_argv(self, corpus_files, checkpoint, out, *variant):
+        return ["eval", "--checkpoint", str(checkpoint), "--test", str(corpus_files["test"]),
+                "--train-facts", str(corpus_files["facts"]), "--out", str(out), *variant]
+
+    @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
+    def test_variant_comes_from_checkpoint(self, corpus_files, tmp_path, variant):
+        assert run_train(corpus_files, tmp_path / "run", variant=variant) == 0
+        ckpt = tmp_path / "run" / "checkpoint.txt"
+        derived, given = tmp_path / "derived.csv", tmp_path / "given.csv"
+        assert main(self.eval_argv(corpus_files, ckpt, derived)) == 0
+        assert main(self.eval_argv(corpus_files, ckpt, given, "--variant", variant)) == 0
+        assert derived.read_bytes() == given.read_bytes()
+        flags = json.loads((tmp_path / "derived.csv.manifest.json").read_text())["flags"]
+        assert flags["variant"] == variant
+
+    def test_mismatched_variant_is_usage_error(self, corpus_files, tmp_path, capsys):
+        assert run_train(corpus_files, tmp_path / "run", variant="fs", epochs=0) == 0
+        argv = self.eval_argv(corpus_files, tmp_path / "run" / "checkpoint.txt",
+                              tmp_path / "e.csv", "--variant", "f")
+        assert main(argv) == 1
+        assert "--variant f does not match the checkpoint's variant fs" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_checkpoint_without_variant_is_data_error(self, corpus_files, tmp_path, capsys):
+        assert run_train(corpus_files, tmp_path / "run", variant="fs", epochs=0) == 0
+        ckpt = tmp_path / "run" / "checkpoint.txt"
+        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+        ckpt.write_text("k 6\n" + "".join(lines[1:]), encoding="utf-8")
+        assert main(self.eval_argv(corpus_files, ckpt, tmp_path / "e.csv")) == 2
+        assert "checkpoint.txt:1: expected header `k <dim> variant <f|fs|fsl>`" in \
+            capsys.readouterr().err
 
     def test_vocabulary_mismatch_is_data_error(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
@@ -260,6 +307,22 @@ class TestAnalyzeCommand:
             assert 0.0 <= float(row[2]) <= 1.0
             assert 0.0 <= float(row[3]) <= 1.0
 
+    def test_asymmetry_scores_as_the_checkpoint_variant(self, corpus_files, tmp_path):
+        ckpt = self.trained(corpus_files, tmp_path, variant="f")
+
+        def run(name, *variant):
+            out = tmp_path / name
+            assert main(["analyze", "asymmetry", "--checkpoint", str(ckpt),
+                         "--rules", str(corpus_files["rules"]),
+                         "--train-facts", str(corpus_files["facts"]),
+                         "--out", str(out), *variant]) == 0
+            flags = json.loads(out.with_suffix(".csv.manifest.json").read_text())["flags"]
+            return out.read_bytes(), flags["variant"]
+
+        derived = run("derived.csv")
+        assert derived == run("given.csv", "--variant", "f")
+        assert derived[1] == "f"
+
     def test_matrix_csv_sorted_by_l1(self, corpus_files, tmp_path):
         import numpy as np
         ckpt = self.trained(corpus_files, tmp_path)
@@ -305,11 +368,12 @@ class TestAnalyzeCommand:
         assert default == (fsl[0], "fsl")
         assert fs[1] == "fs" and fs[0] != fsl[0]
 
-    @pytest.mark.parametrize("fractions", ["0,x", "0.5,0.25", "0,0"])
+    @pytest.mark.parametrize("fractions", ["0,x", "0.5,0.25", "0,0", "nan", "-0.5,1",
+                                           "0,1.5"])
     def test_bad_fractions_are_usage_errors(self, corpus_files, tmp_path, fractions):
         assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
                      "--test", str(corpus_files["test"]),
-                     "--rules", str(corpus_files["rules"]), "--fractions", fractions,
+                     "--rules", str(corpus_files["rules"]), f"--fractions={fractions}",
                      "--epochs", "1", "--out", str(tmp_path / "zs.csv")]) == 1
 
     def test_empty_implied_relations_file_is_data_error(self, corpus_files, tmp_path):
@@ -357,3 +421,10 @@ class TestExitCodes:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1)], ids=["help", "none"])
+    def test_entrypoint_exit_code(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["liftedkb", *argv])
+        with pytest.raises(SystemExit) as info:
+            entrypoint()
+        assert info.value.code == code

@@ -278,6 +278,12 @@ class TestZeroShot:
         kept = store.tuples_of(0)[np.isin(store.tuples_of(0), half.tuples_of(0))]
         assert np.array_equal(half.tuples_of(0), kept)
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        store = FactStore.from_named_pairs([("p", f"t{i}") for i in range(4)])
+        with pytest.raises(ValueError, match="fraction must lie in"):
+            subsample_relation_facts(store, {0}, fraction, seed=0)
+
     def test_fraction_one_bitwise_equals_plain_run(self):
         corpus = clustered_corpus(n_clusters=2, relations_per_cluster=4,
                                   tuples_per_cluster=25, n_rules=2, seed=4)

@@ -316,12 +316,19 @@ class TestPersistence:
         rng = np.random.default_rng(7)
         p = ModelParams(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)))
         path = tmp_path / "ckpt.txt"
-        model.save_embeddings(path, p, ["a", "b", "c"], ["t0", "t1", "t2", "t3"])
-        loaded, rel_names, tup_names = model.load_embeddings(path)
+        model.save_embeddings(path, p, ["a", "b", "c"], ["t0", "t1", "t2", "t3"], "fsl")
+        loaded, rel_names, tup_names, _ = model.load_embeddings(path)
         assert rel_names == ["a", "b", "c"]
         assert tup_names == ["t0", "t1", "t2", "t3"]
         assert np.array_equal(loaded.relations, p.relations)
         assert np.array_equal(loaded.tuple_pre, p.tuple_pre)
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_variant_round_trips(self, tmp_path, variant):
+        path = tmp_path / "ckpt.txt"
+        model.save_embeddings(path, ModelParams(np.zeros((1, 2)), np.zeros((1, 2))),
+                              ["r"], ["t"], variant)
+        assert model.load_embeddings(path)[3] == variant
 
     def test_written_bytes_pinned(self, tmp_path):
         # signed zero, the smallest subnormal, 17-digit rounding and a spread
@@ -330,9 +337,9 @@ class TestPersistence:
                                   [-1e-300, 0.1, 1 / 3, -2.5]]),
                         np.array([[1e16, 123456789.0, 1e-05, 1.7976931348623157e308]]))
         path = tmp_path / "ckpt.txt"
-        model.save_embeddings(path, p, ["a", "b"], ["t"])
+        model.save_embeddings(path, p, ["a", "b"], ["t"], "fs")
         assert path.read_bytes() == (
-            b"k 4\n"
+            b"k 4 variant fs\n"
             b"R a 0 -0 4.9406564584124654e-324 1.0000000000000001e+300\n"
             b"R b -1e-300 0.10000000000000001 0.33333333333333331 -2.5\n"
             b"E t 10000000000000000 123456789 1.0000000000000001e-05 "
@@ -341,19 +348,19 @@ class TestPersistence:
     def test_header_written(self, tmp_path):
         p = ModelParams(np.zeros((1, 2)), np.zeros((1, 2)))
         path = tmp_path / "ckpt.txt"
-        model.save_embeddings(path, p, ["r"], ["t"])
-        assert path.read_text().splitlines()[0] == "k 2"
+        model.save_embeddings(path, p, ["r"], ["t"], "f")
+        assert path.read_text().splitlines()[0] == "k 2 variant f"
 
     def test_relation_and_tuple_may_share_a_name(self, tmp_path):
         path = tmp_path / "ckpt.txt"
-        path.write_text("k 1\nR x 0.5\nE x 0.25\n", encoding="utf-8")
-        loaded, rel_names, tup_names = model.load_embeddings(path)
+        path.write_text("k 1 variant fs\nR x 0.5\nE x 0.25\n", encoding="utf-8")
+        loaded, rel_names, tup_names, _ = model.load_embeddings(path)
         assert (rel_names, tup_names) == (["x"], ["x"])
         assert loaded.relations[0, 0] == 0.5 and loaded.tuple_pre[0, 0] == 0.25
 
     @pytest.mark.parametrize("text, lineno", [
-        ("k 1\nR a 0.1\nR a 0.2\nE t 0.3\n", 3),
-        ("k 1\nR a 0.1\nE t 0.2\n\nE t 0.3\n", 5),
+        ("k 1 variant fs\nR a 0.1\nR a 0.2\nE t 0.3\n", 3),
+        ("k 1 variant fs\nR a 0.1\nE t 0.2\n\nE t 0.3\n", 5),
     ], ids=["relation", "tuple"])
     def test_duplicate_name_names_second_line(self, tmp_path, text, lineno):
         path = tmp_path / "ckpt.txt"
@@ -362,16 +369,30 @@ class TestPersistence:
             model.load_embeddings(path)
 
     @pytest.mark.parametrize("text, where", [
-        ("k 2\nR a 0.1 0.2\nE t 0.3 oops\n", ":3:"),
+        ("k 2 variant fs\nR a 0.1 0.2\nE t 0.3 oops\n", ":3:"),
         ("k two\nR a 0.1\nE t 0.2\n", ":1:"),
         ("k 0\nR a\nE t\n", ":1:"),
         ("k\nR a 0.1\nE t 0.2\n", ":1:"),
-    ], ids=["non-numeric", "k-word", "k-zero", "k-missing"])
+        ("k 1 variant\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k 1 variant fsx\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k 1 fs\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k 1 variant fs x\nR a 0.1\nE t 0.2\n", ":1:"),
+    ], ids=["non-numeric", "k-word", "k-zero", "k-missing", "variant-missing",
+            "variant-unknown", "variant-keyword-missing", "trailing-field"])
     def test_bad_value_or_header_is_parse_error(self, tmp_path, text, where):
         path = tmp_path / "ckpt.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=where):
             model.load_embeddings(path)
+
+    def test_header_without_variant_names_the_fix(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        path.write_text("k 1\nR a 0.1\nE t 0.2\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            model.load_embeddings(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:1: expected header `k <dim> variant <f|fs|fsl>`")
+        assert "append ` variant <v>`" in message and "trained with" in message
 
 
 class TestModelConfig:
@@ -384,6 +405,10 @@ class TestModelConfig:
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"alpha": -1}, {"beta_tilde": -0.1}, {"delta": -0.5},
         {"variant": "nope"}, {"init_low": 0.2, "init_high": 0.1},
+        {"alpha": float("nan")}, {"alpha": float("inf")}, {"beta_tilde": float("nan")},
+        {"delta": float("nan")}, {"delta": float("inf")}, {"init_low": float("nan")},
+        {"init_high": float("nan")}, {"init_low": -float("inf")},
+        {"init_high": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

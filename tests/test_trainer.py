@@ -267,6 +267,16 @@ class TestInitParams:
         assert np.array_equal(a.tuple_pre, b.tuple_pre)
 
 
+class TestTrainOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": 0}, {"learning_rate": -0.1}, {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")}, {"batch_size": 0}, {"epochs": -1},
+    ])
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainOptions(**{"epochs": 1, **kwargs})
+
+
 class TestTrain:
     def options(self, epochs, seed=0):
         return TrainOptions(epochs=epochs, batch_size=64, learning_rate=0.02, seed=seed)
