@@ -5,7 +5,8 @@ run manifest recording resolved flags, the seed, and SHA-256 digests of
 every input file. Reruns with identical inputs and flags are byte-identical
 except for recorded wall-clock fields.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
+Exit codes: 0 success, 1 usage error (a bad flag value, or a path that is
+missing or names the wrong kind of file), 2 data error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ def _add_model_flags(parser):
     parser.add_argument("--beta-tilde", type=float, default=ModelConfig.beta_tilde,
                         help="implication-loss weight (fsl)")
     parser.add_argument("--delta", type=float, default=ModelConfig.delta, help="hinge margin")
-    parser.add_argument("--init-low", type=float, default=ModelConfig.init_low)
-    parser.add_argument("--init-high", type=float, default=ModelConfig.init_high)
 
 
 def _add_train_flags(parser):
@@ -241,26 +240,13 @@ def cmd_analyze_zero_shot(args) -> int:
     rules = _load_rules_checked(args.rules, store.relations)
     if not rules:
         raise DataError("zero-shot analysis needs at least one resolvable rule")
-    if args.implied_relations:
-        implied = set()
-        with open(args.implied_relations, encoding="utf-8") as fh:
-            for line in fh:
-                name = line.strip()
-                if not name:
-                    continue
-                if name not in store.relations:
-                    raise DataError(f"unknown implied relation {name!r}")
-                implied.add(store.relations.id(name))
-    else:
-        implied = {r.consequent for r in rules}
-    curve = evaluation.zero_shot_sweep(store, test, rules, implied, fractions,
-                                       config, options)
-    table = [[repr(fraction), repr(wmap)] for fraction, wmap in curve.points]
+    points = evaluation.zero_shot_sweep(store, test, rules, {r.consequent for r in rules},
+                                        fractions, config, options)
+    table = [[repr(fraction), repr(wmap)] for fraction, wmap in points]
     out = _write_report(args, "analyze zero-shot",
-                        {"facts": args.facts, "test": args.test, "rules": args.rules,
-                         "implied_relations": args.implied_relations},
+                        {"facts": args.facts, "test": args.test, "rules": args.rules},
                         ["fraction", "weighted_map"], table)
-    print(f"zero-shot curve with {len(curve.points)} points -> {out}")
+    print(f"zero-shot curve with {len(points)} points -> {out}")
     return EXIT_OK
 
 
@@ -315,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_matrix)
 
     p = asub.add_parser("zero-shot", help="retrain at several retained fractions of "
-                        "implied-relation facts; CSV: fraction,weighted_map")
+                        "the rule consequents' facts; CSV: fraction,weighted_map")
     p.add_argument("--facts", required=True, help="training fact file")
     p.add_argument("--test", required=True, help="test fact file")
     p.add_argument("--rules", required=True)
-    p.add_argument("--implied-relations",
-                   help="file with one relation name per line (default: rule consequents)")
     p.add_argument("--fractions", default="0,0.25,0.5,1.0",
                    help="comma-separated retained fractions")
     p.add_argument("--out", required=True)
@@ -342,7 +326,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # a path that names the wrong kind of thing; other OSErrors (a full
+        # disk, say) are not usage errors and propagate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, UnicodeDecodeError) as exc:

@@ -174,13 +174,15 @@ def load_facts(path) -> FactStore:
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
     """Parse a fact file against fixed vocabularies (e.g. from a checkpoint).
 
-    Names absent from the vocabularies are an error; the message lists them.
+    Names absent from the vocabularies are an error; the message names the
+    first line that has one and lists them all.
     """
     lines = _read_fact_lines(path)
     unknown = ({rel for _, rel, _ in lines if rel not in relations}
                | {tup for _, _, tup in lines if tup not in tuples})
     if unknown:
-        raise DataError(f"{path}: names missing from checkpoint vocabulary: "
+        lineno = next(n for n, rel, tup in lines if rel not in relations or tup not in tuples)
+        raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
                         + ", ".join(sorted(unknown)))
     return FactStore(relations, tuples,
                      [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])

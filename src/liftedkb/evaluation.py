@@ -28,11 +28,6 @@ from .model import ModelConfig, ModelParams
 
 log = logging.getLogger(__name__)
 
-# Init range for relations implied by rules in the zero-shot protocol: with
-# no training facts, rule hinges can only push their components up, so they
-# start deep in negative territory.
-ZERO_SHOT_INIT = (-8.1, -7.9)
-
 # Relations scored per matrix product in `weighted_map`: enough for the
 # product to run at matrix-matrix speed, few enough that the |T| x BLOCK
 # score block stays about the size of the |T| x k effective-tuple matrix.
@@ -78,11 +73,6 @@ class AsymmetryRow:
     @property
     def empty(self) -> bool:
         return self.n_forward == 0 or self.n_backward == 0
-
-
-@dataclass
-class ZeroShotCurve:
-    points: list[tuple[float, float]]  # (retained fraction, weighted MAP)
 
 
 def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
@@ -223,31 +213,30 @@ def subsample_relation_facts(store: FactStore, relations, fraction: float,
     return store.subset(~drop)
 
 
-def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied_relations,
+def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied,
                     fractions, config: ModelConfig,
-                    options: trainer.TrainOptions) -> ZeroShotCurve:
-    """Weighted MAP on the implied relations vs. fraction of their train facts.
+                    options: trainer.TrainOptions) -> list[tuple[float, float]]:
+    """(retained fraction, weighted MAP) points on the `implied` relation ids.
 
     For each fraction, the implied relations' training facts are subsampled
-    (seeded), the implied relations are initialized from `ZERO_SHOT_INIT`, the
-    model is trained, and the implied relations are evaluated on `test`.
-    The ranking tasks are built once from the full `train` store so the
-    curve compares the same task at every fraction.
+    (seeded), the model is trained with the implied relations cold (drawn
+    from `model.COLD_RANGE`), and the implied relations are evaluated on
+    `test`. The ranking tasks are built once from the full `train` store so
+    the curve compares the same task at every fraction. The CLI passes the
+    rule consequents as `implied`; an FS baseline passes them with no rules.
     """
     if list(fractions) != sorted(set(fractions)):
         raise ValueError("fractions must be strictly increasing")
-    implied = set(implied_relations)
+    implied = set(implied)
     if not implied:
         raise DataError("no implied relations given")
-    overrides = {rid: ZERO_SHOT_INIT for rid in sorted(implied)}
     tasks = [t for t in build_tasks(train, test) if t.relation in implied]
     if not tasks:
         raise DataError("implied relations have no test facts")
     points = []
     for fraction in fractions:
         reduced = subsample_relation_facts(train, implied, fraction, options.seed)
-        result = trainer.train(reduced, rules, config, options,
-                               init_overrides=overrides)
+        result = trainer.train(reduced, rules, config, options, cold_relations=implied)
         wmap, _ = weighted_map(tasks, result.params, config.variant)
         points.append((float(fraction), wmap))
-    return ZeroShotCurve(points)
+    return points

@@ -122,7 +122,10 @@ def filter_rules(mined, decisions_path, patterns: Vocab) -> list[Rule]:
             if verdict not in ("accept", "reject") or not rest:
                 raise ParseError(f"{decisions_path}:{lineno}: expected "
                                  f"`accept|reject<TAB>rule`, got {line!r}")
-            ant, cons = parse_rule_line(rest)
+            try:
+                ant, cons = parse_rule_line(rest)
+            except ParseError as exc:
+                raise ParseError(f"{decisions_path}:{lineno}: {exc}") from None
             key = f"{ant} => {cons}"
             if key not in known:
                 log.warning("%s:%d: decision for unknown rule ignored: %s",

@@ -24,6 +24,13 @@ from .errors import ParseError
 
 VARIANTS = ("f", "fs", "fsl")
 
+# Uniform range every parameter is drawn from, and the range `init_params`
+# redraws cold relations from: the zero-shot protocol starts the rule
+# consequents deep in negative territory, where only the rule hinges (no
+# training facts) can push their components up.
+INIT_RANGE = (-0.1, 0.1)
+COLD_RANGE = (-8.1, -7.9)
+
 
 @dataclass
 class ModelConfig:
@@ -32,8 +39,6 @@ class ModelConfig:
     beta_tilde: float = 0.1
     delta: float = 0.01
     variant: str = "fs"
-    init_low: float = -0.1
-    init_high: float = 0.1
 
     def __post_init__(self):
         if self.k < 1:
@@ -43,8 +48,6 @@ class ModelConfig:
             raise ValueError("alpha, beta_tilde, delta must be finite and non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not -math.inf < self.init_low < self.init_high < math.inf:
-            raise ValueError("init_low and init_high must be finite, with init_low < init_high")
 
     @property
     def sigmoid_tuples(self) -> bool:
@@ -252,22 +255,16 @@ def rule_index_arrays(rules) -> tuple[np.ndarray, np.ndarray]:
 
 
 def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,
-                overrides=None) -> ModelParams:
-    """Uniform initialization with optional per-relation range overrides.
-
-    `overrides` maps relation id -> (low, high); used by the zero-shot
-    protocol to start implied relations deep in negative territory.
-    Deterministic for a fixed seed, including overrides.
+                cold_relations=()) -> ModelParams:
+    """Uniform draws from `INIT_RANGE`, relations first, then tuples; the
+    `cold_relations` ids are then redrawn once each, in ascending id order,
+    from `COLD_RANGE`. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    relations = rng.uniform(config.init_low, config.init_high, size=(n_relations, config.k))
-    tuple_pre = rng.uniform(config.init_low, config.init_high, size=(n_tuples, config.k))
-    if overrides:
-        for rid in sorted(overrides):
-            low, high = overrides[rid]
-            if not low < high:
-                raise ValueError(f"invalid override range ({low}, {high}) for relation {rid}")
-            relations[rid] = rng.uniform(low, high, size=config.k)
+    relations = rng.uniform(*INIT_RANGE, size=(n_relations, config.k))
+    tuple_pre = rng.uniform(*INIT_RANGE, size=(n_tuples, config.k))
+    for rid in sorted(set(cold_relations)):
+        relations[rid] = rng.uniform(*COLD_RANGE, size=config.k)
     return ModelParams(relations, tuple_pre)
 
 

@@ -191,11 +191,12 @@ class TrainResult:
 
 
 def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
-          callbacks=None, init_overrides=None) -> TrainResult:
+          callbacks=None, cold_relations=()) -> TrainResult:
     """Train the selected variant on `store`; returns params, ADAM state, stats.
 
     Rules are only used by variant FSL (their lifted losses enter every
-    batch). Deterministic given (seed, options, inputs).
+    batch). The `cold_relations` ids start from `model.COLD_RANGE` (see
+    `model.init_params`). Deterministic given (seed, options, inputs).
     """
     if len(store) == 0:
         raise DataError("fact store is empty")
@@ -205,7 +206,7 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
     rule_idx = model.rule_index_arrays(active_rules)
 
     params = model.init_params(config, len(store.relations), len(store.tuples),
-                               options.seed, overrides=init_overrides)
+                               options.seed, cold_relations)
     state = AdamState.zeros(len(store.relations), len(store.tuples), config.k)
     rng = np.random.default_rng([options.seed, 1])
     facts = store.facts

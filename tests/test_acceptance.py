@@ -182,20 +182,20 @@ def test_criterion_6_synthetic_zero_shot(benefit_runs):
                           [0.0, 1.0], ModelConfig(k=16, variant="fsl"), opts)
     fs_baseline = zero_shot_sweep(split.train, split.test, [], implied,
                                   [0.0], ModelConfig(k=16, variant="fs"), opts)
-    gap = fsl.points[0][1] - fs_baseline.points[0][1]
+    gap = fsl[0][1] - fs_baseline[0][1]
 
-    # fraction 1.0 must equal a plain training run bitwise (same seed/overrides)
-    overrides = {rid: evaluation.ZERO_SHOT_INIT for rid in sorted(implied)}
+    # fraction 1.0 must equal a plain training run bitwise (same seed, same
+    # cold relations)
     plain = train(split.train, corpus.rules, ModelConfig(k=16, variant="fsl"),
-                  opts, init_overrides=overrides)
+                  opts, cold_relations=implied)
     tasks = [t for t in build_tasks(split.train, split.test) if t.relation in implied]
     plain_map, _ = weighted_map(tasks, plain.params, "fsl")
-    bitwise = fsl.points[1][1] == plain_map
+    bitwise = fsl[1][1] == plain_map
     elapsed = time.perf_counter() - start
     report("criterion 6 (zero-shot)",
            gap >= 0.2 and bitwise and elapsed < 300,
-           f"FSL {fsl.points[0][1]:.3f} vs FS baseline "
-           f"{fs_baseline.points[0][1]:.3f} (gap {gap:.3f}), "
+           f"FSL {fsl[0][1]:.3f} vs FS baseline "
+           f"{fs_baseline[0][1]:.3f} (gap {gap:.3f}), "
            f"fraction-1.0 bitwise equal: {bitwise}, {elapsed:.0f}s")
 
 

@@ -117,7 +117,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--delta", "nan"), ("--alpha", "inf"), ("--beta-tilde", "nan"),
-        ("--init-high", "inf"), ("--learning-rate", "nan"), ("--learning-rate", "inf")])
+        ("--delta", "inf"), ("--learning-rate", "nan"), ("--learning-rate", "inf")])
     def test_non_finite_setting_is_usage_error_before_loading(self, tmp_path, capsys,
                                                               flag, value):
         args = ["train", "--facts", str(tmp_path / "absent.tsv"), "--rules", "absent.tsv",
@@ -211,15 +211,33 @@ class TestEvalCommand:
         assert "checkpoint.txt:1: expected header `k <dim> variant <f|fs|fsl>`" in \
             capsys.readouterr().err
 
-    def test_vocabulary_mismatch_is_data_error(self, corpus_files, tmp_path, capsys):
+    def vocabulary_mismatch_error(self, corpus_files, tmp_path, capsys, flag):
+        """stderr of an eval whose `flag` file has an unknown-name line 2."""
         out = tmp_path / "run"
         run_train(corpus_files, out, epochs=0)
-        bad = tmp_path / "bad_test.tsv"
-        bad.write_text("no_such_relation\tno_such_tuple\n", encoding="utf-8")
+        known = corpus_files["test"].read_text(encoding="utf-8").splitlines()[0]
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"{known}\nno_such_relation\tno_such_tuple\n{known}\n",
+                       encoding="utf-8")
+        files = {"--test": corpus_files["test"], "--train-facts": corpus_files["facts"],
+                 flag: bad}
         code = main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
-                     "--test", str(bad), "--out", str(tmp_path / "e.csv")])
+                     "--test", str(files["--test"]), "--train-facts", str(files["--train-facts"]),
+                     "--out", str(tmp_path / "e.csv")])
         assert code == 2
-        assert "no_such_relation" in capsys.readouterr().err
+        return bad, capsys.readouterr().err
+
+    def test_vocabulary_mismatch_is_data_error(self, corpus_files, tmp_path, capsys):
+        bad, err = self.vocabulary_mismatch_error(corpus_files, tmp_path, capsys, "--test")
+        # the first offending line, then every missing name
+        assert (f"{bad}:2: names missing from checkpoint vocabulary: "
+                "no_such_relation, no_such_tuple\n") in err
+
+    def test_train_facts_vocabulary_mismatch_names_its_line(self, corpus_files, tmp_path,
+                                                            capsys):
+        bad, err = self.vocabulary_mismatch_error(corpus_files, tmp_path, capsys,
+                                                  "--train-facts")
+        assert f"{bad}:2: names missing from checkpoint vocabulary" in err
 
     def test_duplicate_checkpoint_name_is_data_error(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
@@ -252,6 +270,19 @@ class TestEvalCommand:
 
 
 class TestMineCommand:
+    def test_decision_without_separator_names_its_line(self, tmp_path, capsys):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("p->dog->q\tx\np->animal->q\tx\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("dog\tanimal\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text("reject\tp->dog->q => p->animal->q\naccept\tfoo bar\n",
+                             encoding="utf-8")
+        assert main(["mine", "--facts", str(facts), "--lexicon", str(lexicon),
+                     "--decisions", str(decisions), "--out", str(tmp_path / "r.tsv")]) == 2
+        assert f"data error: {decisions}:2: missing `=>` separator in 'foo bar'" in \
+            capsys.readouterr().err
+
     def test_reference_example(self, tmp_path):
         facts = tmp_path / "facts.tsv"
         facts.write_text("appos->diplomat->amod\ta|b\nappos->official->amod\ta|b\n",
@@ -376,15 +407,6 @@ class TestAnalyzeCommand:
                      "--rules", str(corpus_files["rules"]), f"--fractions={fractions}",
                      "--epochs", "1", "--out", str(tmp_path / "zs.csv")]) == 1
 
-    def test_empty_implied_relations_file_is_data_error(self, corpus_files, tmp_path):
-        implied = tmp_path / "implied.txt"
-        implied.write_text("\n", encoding="utf-8")
-        assert main(["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
-                     "--test", str(corpus_files["test"]),
-                     "--rules", str(corpus_files["rules"]),
-                     "--implied-relations", str(implied),
-                     "--epochs", "1", "--k", "2", "--out", str(tmp_path / "zs.csv")]) == 2
-
     def test_missing_mode_inputs_usage_error(self, corpus_files, tmp_path):
         assert main(["analyze", "asymmetry", "--rules", str(corpus_files["rules"]),
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -418,6 +440,25 @@ class TestFlagSchema:
 class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("case", ["facts-is-directory", "out-is-file",
+                                      "facts-under-file", "eval-out-is-directory"])
+    def test_path_of_wrong_kind_is_usage_error(self, corpus_files, tmp_path, capsys, case):
+        facts, run = str(corpus_files["facts"]), tmp_path / "run"
+        train = ["train", "--epochs", "1", "--facts"]
+        argv = {
+            "facts-is-directory": train + [str(tmp_path), "--out", str(run)],
+            "out-is-file": train + [facts, "--out", facts],
+            "facts-under-file": train + [f"{facts}/train.tsv", "--out", str(run)],
+            "eval-out-is-directory": ["eval", "--checkpoint", str(run / "checkpoint.txt"),
+                                      "--test", str(corpus_files["test"]), "--out", str(tmp_path)],
+        }[case]
+        if case == "eval-out-is-directory":
+            assert run_train(corpus_files, run, epochs=0) == 0
+            capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if line.startswith("error: ")]) == 1
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

@@ -292,15 +292,14 @@ class TestZeroShot:
         implied = {r.consequent for r in corpus.rules}
         config = ModelConfig(k=6, variant="fsl")
         opts = TrainOptions(epochs=20, batch_size=64, learning_rate=0.02, seed=2)
-        curve = zero_shot_sweep(split.train, split.test, corpus.rules, implied,
-                                [1.0], config, opts)
-        overrides = {rid: evaluation.ZERO_SHOT_INIT for rid in sorted(implied)}
+        points = zero_shot_sweep(split.train, split.test, corpus.rules, implied,
+                                 [1.0], config, opts)
         plain = trainer.train(split.train, corpus.rules, config, opts,
-                              init_overrides=overrides)
+                              cold_relations=implied)
         tasks = [t for t in build_tasks(split.train, split.test)
                  if t.relation in implied]
         wmap, _ = weighted_map(tasks, plain.params, "fsl")
-        assert curve.points[0][1] == wmap
+        assert points[0][1] == wmap
 
     def test_fractions_must_increase(self):
         store = FactStore.from_named_pairs([("p", "a"), ("q", "a")])

@@ -400,15 +400,13 @@ class TestModelConfig:
         config = ModelConfig()
         assert (config.k, config.alpha, config.beta_tilde, config.delta) == \
             (100, 0.01, 0.1, 0.01)
-        assert (config.init_low, config.init_high) == (-0.1, 0.1)
+        assert model.INIT_RANGE == (-0.1, 0.1)
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"alpha": -1}, {"beta_tilde": -0.1}, {"delta": -0.5},
-        {"variant": "nope"}, {"init_low": 0.2, "init_high": 0.1},
+        {"variant": "nope"},
         {"alpha": float("nan")}, {"alpha": float("inf")}, {"beta_tilde": float("nan")},
-        {"delta": float("nan")}, {"delta": float("inf")}, {"init_low": float("nan")},
-        {"init_high": float("nan")}, {"init_low": -float("inf")},
-        {"init_high": float("inf")},
+        {"delta": float("nan")}, {"delta": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -255,14 +255,14 @@ class TestInitParams:
 
     def test_negative_override_range(self):
         config = ModelConfig(k=8)
-        p = model.init_params(config, 5, 7, seed=3, overrides={2: (-8.1, -7.9)})
+        p = model.init_params(config, 5, 7, seed=3, cold_relations={2})
         assert np.all(p.relations[2] >= -8.1) and np.all(p.relations[2] <= -7.9)
         assert np.all(p.relations[0] >= -0.1)
 
     def test_same_seed_bitwise_identical(self):
         config = ModelConfig(k=8)
-        a = model.init_params(config, 5, 7, seed=11, overrides={1: (-8.1, -7.9)})
-        b = model.init_params(config, 5, 7, seed=11, overrides={1: (-8.1, -7.9)})
+        a = model.init_params(config, 5, 7, seed=11, cold_relations={1})
+        b = model.init_params(config, 5, 7, seed=11, cold_relations={1})
         assert np.array_equal(a.relations, b.relations)
         assert np.array_equal(a.tuple_pre, b.tuple_pre)
 
