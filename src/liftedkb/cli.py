@@ -341,3 +341,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -7,7 +7,13 @@ File formats (stable CLI contracts):
   rule file:  `antecedent => consequent` per line; TAB or space separation
               around the `=>` token.
 
-A `FactStore` holds its facts once, as an (n, 2) int64 array, with a
+A fact file is read with one `read()` and split into name columns by
+str-level operations; the whole text is checked at once, and the lines are
+walked one by one only to name the first bad line in the error. Names
+become ids through one dict lookup each, into an int64 array.
+
+A `Vocab` is immutable: built once from its names, never grown. A
+`FactStore` holds its facts once, as an (n, 2) int64 array, with a
 per-relation CSR index and a sorted int64 key array beside it; it costs
 O(facts) whatever the vocabulary sizes, and splits select facts by boolean
 mask.
@@ -18,6 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -27,24 +34,24 @@ log = logging.getLogger(__name__)
 
 
 class Vocab:
-    """Bidirectional string <-> dense-id map, ids assigned in first-seen order."""
+    """Immutable bidirectional string <-> dense-id map, ids assigned in
+    first-seen order (a repeated name keeps its first id)."""
 
     def __init__(self, names=()):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-        for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        idx = self._index.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._index[name] = idx
-            self._names.append(name)
-        return idx
+        names = list(names)
+        index = dict(zip(names, range(len(names))))
+        if len(index) < len(names):  # a name repeats
+            names = list(dict.fromkeys(names))
+            index = dict(zip(names, range(len(names))))
+        self._names: list[str] = names
+        self._index: dict[str, int] = index
 
     def id(self, name: str) -> int:
         return self._index[name]
+
+    def ids(self, names) -> np.ndarray:
+        """int64 ids of a sequence of names; KeyError on the first unknown one."""
+        return np.fromiter(map(self._index.__getitem__, names), np.int64, count=len(names))
 
     def name(self, idx: int) -> str:
         return self._names[idx]
@@ -69,8 +76,8 @@ class FactStore:
     (fact positions sorted stably by relation) and of `_relation_tuples`
     (their tuple ids) belong to relation r, in fact order.
     Membership: `keys`, the sorted unique read-only int64 array of
-    `relation * len(tuples) + tuple`, and `key_set`, the same as a set; the
-    vocabularies must not grow after construction. Ids outside them raise.
+    `relation * len(tuples) + tuple`, and `key_set`, the same as a set; they
+    stay valid because a `Vocab` never grows. Ids outside them raise.
     """
 
     def __init__(self, relations: Vocab, tuples: Vocab, facts):
@@ -97,9 +104,18 @@ class FactStore:
 
     @classmethod
     def from_named_pairs(cls, pairs) -> "FactStore":
-        relations, tuples = Vocab(), Vocab()
-        id_pairs = [(relations.add(r), tuples.add(t)) for r, t in pairs]
-        return cls(relations, tuples, id_pairs)
+        columns = list(zip(*pairs)) or [(), ()]  # no pairs, no columns
+        return cls.from_names(*columns)
+
+    @classmethod
+    def from_names(cls, relation_names, tuple_names) -> "FactStore":
+        """Store of the facts `(relation_names[i], tuple_names[i])`, with
+        vocabularies in first-seen order."""
+        # dict.fromkeys drops the repeats, so Vocab builds each index once
+        relations = Vocab(dict.fromkeys(relation_names))
+        tuples = Vocab(dict.fromkeys(tuple_names))
+        return cls(relations, tuples,
+                   np.column_stack((relations.ids(relation_names), tuples.ids(tuple_names))))
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -137,21 +153,30 @@ class FactStore:
             fh.writelines(f"{relations[r]}\t{tuples[t]}\n" for r, t in self.facts.tolist())
 
 
-def _read_fact_lines(path) -> list[tuple[int, str, str]]:
-    """(line number, relation, tuple) for every non-blank line of a fact file."""
-    lines = []
+def _numbered_lines(text: str):
+    """(line number, line) for the non-blank lines of a fact file's text."""
+    return ((lineno, line) for lineno, line in enumerate(text.split("\n"), start=1) if line)
+
+
+def _read_fact_names(path) -> tuple[str, list[str]]:
+    """A fact file's text and its names in order: relation, tuple, relation,
+    tuple, ... over the non-blank lines.
+
+    Every non-blank line must hold exactly one tab and no empty name; the
+    first line that does not is an error that carries its line number.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        text = fh.read()
+    lines = list(filter(None, text.split("\n")))
+    if not lines:
+        raise ParseError(f"{path}: no facts found")
+    names = "\t".join(lines).split("\t")
+    if set(map(str.count, lines, repeat("\t"))) != {1} or "" in names:
+        for lineno, line in _numbered_lines(text):
             fields = line.split("\t")
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
-            lines.append((lineno, fields[0], fields[1]))
-    if not lines:
-        raise ParseError(f"{path}: no facts found")
-    return lines
+    return text, names
 
 
 def load_facts(path) -> FactStore:
@@ -160,15 +185,15 @@ def load_facts(path) -> FactStore:
     Names containing whitespace are rejected: the checkpoint format
     separates fields by whitespace, so they could not be read back.
     """
-    lines = _read_fact_lines(path)
-    store = FactStore.from_named_pairs((rel, tup) for _, rel, tup in lines)
-    bad = {name for name in store.relations.names + store.tuples.names
-           if name.split() != [name]}
-    if bad:
-        lineno, rel, tup = next(line for line in lines if line[1] in bad or line[2] in bad)
-        name = rel if rel in bad else tup
-        raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
-    return store
+    text, names = _read_fact_names(path)
+    # with one tab per line, the text splits on whitespace into exactly the
+    # names unless a name holds whitespace
+    if text.split() != names:
+        for lineno, line in _numbered_lines(text):
+            for name in line.split("\t"):
+                if name.split() != [name]:
+                    raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
+    return FactStore.from_names(names[0::2], names[1::2])
 
 
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
@@ -177,15 +202,19 @@ def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
     Names absent from the vocabularies are an error; the message names the
     first line that has one and lists them all.
     """
-    lines = _read_fact_lines(path)
-    unknown = ({rel for _, rel, _ in lines if rel not in relations}
-               | {tup for _, _, tup in lines if tup not in tuples})
-    if unknown:
-        lineno = next(n for n, rel, tup in lines if rel not in relations or tup not in tuples)
-        raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
-                        + ", ".join(sorted(unknown)))
-    return FactStore(relations, tuples,
-                     [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])
+    text, names = _read_fact_names(path)
+    relation_names, tuple_names = names[0::2], names[1::2]
+    try:
+        facts = np.column_stack((relations.ids(relation_names), tuples.ids(tuple_names)))
+    except KeyError:
+        unknown = ({rel for rel in relation_names if rel not in relations}
+                   | {tup for tup in tuple_names if tup not in tuples})
+        for lineno, line in _numbered_lines(text):
+            rel, tup = line.split("\t")
+            if rel not in relations or tup not in tuples:
+                raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
+                                + ", ".join(sorted(unknown))) from None
+    return FactStore(relations, tuples, facts)
 
 
 @dataclass(frozen=True)

@@ -107,28 +107,6 @@ def lifted_rule_loss(params: ModelParams, rule: Rule, delta: float) -> float:
     return float(np.maximum(0.0, diff + delta).sum())
 
 
-def grounded_rule_loss(params: ModelParams, rule: Rule, tuples, delta: float,
-                       variant: str) -> float:
-    """Rule loss grounded over explicit tuples (verification oracle only).
-
-    Sums the hinge on the L1-normalized effective embedding of each tuple.
-    By convexity this is bounded above by len(tuples) * lifted_rule_loss.
-    Never used in training.
-    """
-    diff = params.relations[rule.antecedent] - params.relations[rule.consequent]
-    total = 0.0
-    for tup in tuples:
-        emb = effective_tuples(params, variant, tup)
-        if variant == "f" and np.any(emb < 0):
-            raise ValueError(f"tuple {tup} has negative components; the Jensen "
-                             "bound requires a non-negative embedding space")
-        norm = emb.sum()
-        if norm <= 0:
-            raise ValueError(f"tuple {tup} has zero L1 norm")
-        total += float(implication_pair_loss(diff @ (emb / norm), delta))
-    return total
-
-
 @dataclass
 class Batch:
     """A minibatch of BPR pairs: (relation, positive tuple, negative tuple)."""

@@ -1,21 +1,27 @@
 """Shared test oracles: the batch loss and its per-occurrence gradients,
-finite-difference gradients, brute-force AP, the per-draw negative sampler
-and out-of-place ADAM.
+finite-difference gradients, the rule loss grounded over explicit tuples,
+brute-force AP, the per-draw negative sampler, out-of-place ADAM and the
+per-line fact-file readers.
 
 These stay independent of the code paths they check: `batch_loss` and
 `recon_l2_gradients_oracle` take the sigmoid once per pair occurrence, the
 latter summing rows with `np.add.at`; the finite-difference oracle only
-evaluates `batch_loss`, the AP oracle ranks by pairwise comparison instead
-of sorting, the sampler oracle draws one scalar per attempt, and the ADAM
-oracle evaluates the textbook expressions with fresh temporaries.
+evaluates `batch_loss`, `grounded_rule_loss` sums the hinge tuple by tuple,
+the AP oracle ranks by pairwise comparison instead of sorting, the sampler
+oracle draws one scalar per attempt, the ADAM oracle evaluates the textbook
+expressions with fresh temporaries, and the fact-file oracles parse, check
+and number one line at a time.
 """
 
 import numpy as np
 from scipy.special import expit
 
 from liftedkb import model
+from liftedkb.data import FactStore, Rule, Vocab
+from liftedkb.errors import DataError, ParseError
 from liftedkb.model import (Batch, Gradients, LossBreakdown, ModelConfig, ModelParams,
-                            effective_tuples, lifted_rule_loss, recon_pair_loss)
+                            effective_tuples, implication_pair_loss, lifted_rule_loss,
+                            recon_pair_loss)
 from liftedkb.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                               MAX_NEGATIVE_ATTEMPTS)
 
@@ -201,6 +207,27 @@ def away_from_hinge_kinks(params, rules, delta, margin=1e-6) -> bool:
     return True
 
 
+def grounded_rule_loss(params: ModelParams, rule: Rule, tuples, delta: float,
+                       variant: str) -> float:
+    """Rule loss grounded over explicit tuples.
+
+    Sums the hinge on the L1-normalized effective embedding of each tuple.
+    By convexity this is bounded above by len(tuples) * lifted_rule_loss.
+    """
+    diff = params.relations[rule.antecedent] - params.relations[rule.consequent]
+    total = 0.0
+    for tup in tuples:
+        emb = effective_tuples(params, variant, tup)
+        if variant == "f" and np.any(emb < 0):
+            raise ValueError(f"tuple {tup} has negative components; the Jensen "
+                             "bound requires a non-negative embedding space")
+        norm = emb.sum()
+        if norm <= 0:
+            raise ValueError(f"tuple {tup} has zero L1 norm")
+        total += float(implication_pair_loss(diff @ (emb / norm), delta))
+    return total
+
+
 def brute_force_average_precision(scores: dict, positives: set) -> float:
     """AP by pairwise rank counting; ties resolved by ascending tuple id.
 
@@ -219,3 +246,49 @@ def brute_force_average_precision(scores: dict, positives: set) -> float:
     for i, tup in enumerate(ordered, start=1):
         precisions.append(i / ranks[tup])
     return sum(precisions) / len(positives)
+
+
+def read_fact_lines(path) -> list[tuple[int, str, str]]:
+    """(line number, relation, tuple) for every non-blank line of a fact file."""
+    lines = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
+            lines.append((lineno, fields[0], fields[1]))
+    if not lines:
+        raise ParseError(f"{path}: no facts found")
+    return lines
+
+
+def load_facts_oracle(path) -> FactStore:
+    """`data.load_facts` one line at a time: ids in first-seen order, then
+    the first line with whitespace in a name is an error."""
+    lines = read_fact_lines(path)
+    relations: dict[str, int] = {}
+    tuples: dict[str, int] = {}
+    pairs = [(relations.setdefault(rel, len(relations)), tuples.setdefault(tup, len(tuples)))
+             for _, rel, tup in lines]
+    bad = {name for name in [*relations, *tuples] if name.split() != [name]}
+    if bad:
+        lineno, rel, tup = next(line for line in lines if line[1] in bad or line[2] in bad)
+        name = rel if rel in bad else tup
+        raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
+    return FactStore(Vocab(relations), Vocab(tuples), pairs)
+
+
+def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactStore:
+    """`data.load_facts_with_vocab` one line at a time."""
+    lines = read_fact_lines(path)
+    unknown = ({rel for _, rel, _ in lines if rel not in relations}
+               | {tup for _, _, tup in lines if tup not in tuples})
+    if unknown:
+        lineno = next(n for n, rel, tup in lines if rel not in relations or tup not in tuples)
+        raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
+                        + ", ".join(sorted(unknown)))
+    return FactStore(relations, tuples,
+                     [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])

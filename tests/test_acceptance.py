@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (away_from_hinge_kinks, brute_force_average_precision,
-                     dense_gradients, finite_difference_gradients, random_instance,
-                     relative_gradient_error)
+                     dense_gradients, finite_difference_gradients, grounded_rule_loss,
+                     random_instance, relative_gradient_error)
 from liftedkb import evaluation, model, trainer
 from liftedkb.cli import main
 from liftedkb.data import Rule, holdout_split, save_rules
@@ -44,7 +44,7 @@ def test_criterion_1_jensen_bound_suite():
         n_tup = int(rng.integers(1, 51))
         params = ModelParams(rng.normal(0, 1, (2, k)), rng.normal(0, 2, (n_tup, k)))
         rule = Rule(0, 1)
-        grounded = model.grounded_rule_loss(params, rule, range(n_tup), 0.01, "fs")
+        grounded = grounded_rule_loss(params, rule, range(n_tup), 0.01, "fs")
         lifted = model.lifted_rule_loss(params, rule, 0.01)
         bound = n_tup * lifted
         rel_violation = (grounded - bound) / bound if bound > 0 else (

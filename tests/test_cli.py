@@ -2,11 +2,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftedkb
 from liftedkb.cli import build_parser, entrypoint, main
 from liftedkb.data import holdout_split
 from liftedkb.model import ModelConfig
@@ -469,3 +473,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             entrypoint()
         assert info.value.code == code
+
+    @pytest.mark.parametrize("module", ["liftedkb", "liftedkb.cli"])
+    def test_python_dash_m_exit_code(self, tmp_path, module):
+        # a real interpreter, so that the exit code is the one a shell sees
+        src = str(Path(liftedkb.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        assert run("--help").returncode == 0
+        missing = run("train", "--facts", "missing.tsv", "--out", "run", "--epochs", "1")
+        assert missing.returncode == 1
+        assert "missing.tsv" in missing.stderr and not (tmp_path / "run").exists()

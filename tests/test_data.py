@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import load_facts_oracle, load_facts_with_vocab_oracle
 from liftedkb.data import (FactStore, Rule, Vocab, holdout_split, load_facts,
                            load_facts_with_vocab, load_rules, save_rules)
 from liftedkb.errors import DataError, ParseError
@@ -44,7 +45,11 @@ class TestLoadFacts:
         ("r\ta|b\nborn in\tA|B\nborn in\tC|D\n", 2, "born in"),
         ("r\ta|b\nr\tc|d\n\nq\tA B\n", 4, "A B"),
         ("r\ta|b\nq\tA\u00a0B\n", 2, "A\u00a0B"),
-    ], ids=["relation-space", "tuple-space", "tuple-nbsp"])
+        ("r\ta|b\nq\t x\n", 2, " x"),
+        ("r\ta|b\nq\tx\u2028\n", 2, "x\u2028"),
+        ("r\tx\u000by\nq r\tx\n", 1, "x\u000by"),
+    ], ids=["relation-space", "tuple-space", "tuple-nbsp", "leading-space",
+            "line-separator", "vertical-tab"])
     def test_whitespace_in_name_reports_first_line(self, tmp_path, text, lineno, name):
         path = write(tmp_path, "f.tsv", text)
         message = f"f.tsv:{lineno}: whitespace in name {name!r}"
@@ -54,6 +59,13 @@ class TestLoadFacts:
     def test_crlf_line_endings_read_as_lf(self, tmp_path):
         path = tmp_path / "f.tsv"
         path.write_bytes(b"r\ta|b\r\nq\tc|d\r\n")
+        store = load_facts(path)
+        assert store.relations.names == ["r", "q"]
+        assert store.tuples.names == ["a|b", "c|d"]
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"r\ta|b\rq\tc|d")
         store = load_facts(path)
         assert store.relations.names == ["r", "q"]
         assert store.tuples.names == ["a|b", "c|d"]
@@ -90,6 +102,108 @@ class TestLoadFacts:
             for r in store.facts[store.facts[:, 1] == t, 0].tolist():
                 assert t in store.tuples_of(r)
         assert (0, 2) not in store and (1, 1) not in store
+
+
+def load_with_fixed_vocab(path):
+    return load_facts_with_vocab(path, Vocab(["r", "q"]), Vocab(["a", "b"]))
+
+
+class TestFactFileErrors:
+    """The errors both fact loaders raise, message for message."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("r\ta\n\n\nonlyOneField\nr\tb\n",
+         ":4: expected `relation<TAB>tuple`, got 'onlyOneField'"),
+        ("r\ta\nq\t\n", ":2: expected `relation<TAB>tuple`, got 'q\\t'"),
+        ("\tb\nq\tb\n", ":1: expected `relation<TAB>tuple`, got '\\tb'"),
+        ("r\ta\nr\ta\tb\nq\n", ":2: expected `relation<TAB>tuple`, got 'r\\ta\\tb'"),
+        ("r\ta\nq\n\nr\ta\tb\n", ":2: expected `relation<TAB>tuple`, got 'q'"),
+        ("r\ta\n \n", ":2: expected `relation<TAB>tuple`, got ' '"),
+        ("r\ta\r\n\r\nq b\r\n", ":3: expected `relation<TAB>tuple`, got 'q b'"),
+        ("r x\ta\nbad\n", ":2: expected `relation<TAB>tuple`, got 'bad'"),
+        ("", ": no facts found"),
+        ("\n\n\r\n", ": no facts found"),
+    ], ids=["after-blank-lines", "empty-tuple", "empty-relation", "three-fields",
+            "missing-tab-before-extra-tab", "space-only", "crlf", "before-whitespace-check",
+            "empty-file", "blank-lines-only"])
+    @pytest.mark.parametrize("loader", [load_facts, load_with_fixed_vocab])
+    def test_parse_errors(self, tmp_path, loader, text, message):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as excinfo:
+            loader(path)
+        assert str(excinfo.value) == f"{path}{message}"
+
+    def test_invalid_utf8_is_a_decode_error(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"r\ta\nq\t\xff\n")
+        for loader in (load_facts, load_with_fixed_vocab):
+            with pytest.raises(UnicodeDecodeError):
+                loader(path)
+
+
+# Name characters: ASCII, non-ASCII and the tuple separator; a few short
+# random names per file, so that names repeat.
+NAME_CHARS = list("abxyz019|_.é中Ωß")
+# Lines that break a file: a missing or extra tab, an empty field, a name with
+# ASCII or Unicode whitespace.
+BAD_LINES = ["nofield", "a\tb\tc", "\tb", "a\t", " ", "\t", "a b\tx", "a\tx\u00a0y",
+             "\u3000a\tx", "a\tx\x1c"]
+
+
+def random_fact_file(path, rng, n_bad=0):
+    """Write a random fact file: LF or CRLF, blank lines, duplicate facts,
+    repeated and non-ASCII names, and `n_bad` lines from BAD_LINES."""
+    def names(n):
+        return ["".join(rng.choice(NAME_CHARS, size=int(rng.integers(1, 4)))) for _ in range(n)]
+
+    relations, tuples = names(int(rng.integers(1, 6))), names(int(rng.integers(1, 25)))
+    n = int(rng.integers(1, 40))
+    lines = [f"{relations[r]}\t{tuples[t]}" for r, t in
+             zip(rng.integers(len(relations), size=n), rng.integers(len(tuples), size=n))]
+    for _ in range(int(rng.integers(0, 4))):
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    for _ in range(n_bad):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(BAD_LINES)))
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    end = newline if rng.random() < 0.8 else ""
+    path.write_bytes((newline.join(lines) + end).encode("utf-8"))
+    return relations + tuples
+
+
+def outcome(loader, *args):
+    """What a loader makes of a file: the store's names and arrays, or its error."""
+    try:
+        store = loader(*args)
+    except (ParseError, DataError) as exc:
+        return type(exc), str(exc)
+    return (store.relations.names, store.tuples.names,
+            store.facts.dtype, store.facts.tolist(), store.keys.tolist())
+
+
+class TestLoadersMatchOracles:
+    """The bulk loaders against the per-line ones in tests/helpers.py, on
+    seeded random fact files, clean and corrupted."""
+
+    @pytest.mark.parametrize("n_bad", [0, 1, 2])
+    def test_load_facts(self, tmp_path, n_bad):
+        rng = np.random.default_rng(100 + n_bad)
+        path = tmp_path / "f.tsv"
+        for _ in range(150):
+            random_fact_file(path, rng, n_bad)
+            assert outcome(load_facts, path) == outcome(load_facts_oracle, path)
+
+    @pytest.mark.parametrize("n_bad", [0, 1])
+    def test_load_facts_with_vocab(self, tmp_path, n_bad):
+        rng = np.random.default_rng(200 + n_bad)
+        path = tmp_path / "f.tsv"
+        for _ in range(150):
+            names = random_fact_file(path, rng, n_bad)
+            # each vocabulary: a shuffled sample of the file's names and more
+            vocabs = [Vocab(rng.permutation(names + ["extra", "é|中"])[:int(rng.integers(
+                len(names) // 2, len(names) + 3))].tolist()) for _ in range(2)]
+            assert (outcome(load_facts_with_vocab, path, *vocabs)
+                    == outcome(load_facts_with_vocab_oracle, path, *vocabs))
 
 
 class TestFactStore:
@@ -137,6 +251,20 @@ class TestFactStore:
                 store.subset(keep)
 
 
+class TestVocab:
+    def test_repeated_name_keeps_its_first_id(self):
+        vocab = Vocab(["a", "b", "a"])
+        assert vocab.names == ["a", "b"] and len(vocab) == 2
+        assert (vocab.id("a"), vocab.id("b"), vocab.name(1)) == (0, 1, "b")
+
+    def test_names_are_a_copy(self):
+        given = ["a", "b"]
+        vocab = Vocab(given)
+        given.append("c")
+        vocab.names.append("d")
+        assert vocab.names == ["a", "b"] and "c" not in vocab
+
+
 class TestRandomCorpus:
     def test_exact_vocabularies_and_no_padding_facts(self):
         store = random_corpus(5, 40, 30, seed=0)
@@ -162,6 +290,23 @@ class TestLoadFactsWithVocab:
         path = write(tmp_path, "f.tsv", "a\tz\nq\tx\nq\tz\n")
         with pytest.raises(DataError, match="vocabulary: q, z$"):
             load_facts_with_vocab(path, Vocab(["a"]), Vocab(["x"]))
+
+    @pytest.mark.parametrize("text, lineno, names", [
+        ("a\tz\nq\tx\nq\tz\n", 1, "q, z"),
+        ("a\tx\n\na\tx\nx\ta\n", 4, "a, x"),
+    ], ids=["first-line", "known-name-in-the-other-column"])
+    def test_unknown_names_name_the_first_line(self, tmp_path, text, lineno, names):
+        path = write(tmp_path, "f.tsv", text)
+        with pytest.raises(DataError) as excinfo:
+            load_facts_with_vocab(path, Vocab(["a"]), Vocab(["x"]))
+        assert str(excinfo.value) == (f"{path}:{lineno}: names missing from checkpoint "
+                                      f"vocabulary: {names}")
+
+    def test_names_are_not_checked_for_whitespace(self, tmp_path):
+        # the vocabularies decide which names exist
+        path = write(tmp_path, "f.tsv", "a b\tx\n")
+        store = load_facts_with_vocab(path, Vocab(["a b"]), Vocab(["x"]))
+        assert store.facts.tolist() == [[0, 0]]
 
 
 class TestLoadRules:
