@@ -171,12 +171,9 @@ def cmd_eval(args) -> int:
 
 def cmd_mine(args) -> int:
     store = load_facts(args.facts)
-    lexicon = mining.HypernymLexicon.load(args.lexicon)
-    mined = mining.mine_rules(store.relations, lexicon)
-    if args.decisions:
-        rules = mining.filter_rules(mined, args.decisions, store.relations)
-    else:
-        rules = [m.rule for m in mined]
+    mined = mining.mine_rules(store.relations, mining.load_lexicon(args.lexicon))
+    rules = (mining.filter_rules(mined, args.decisions, store.relations)
+             if args.decisions else mined)
     out = Path(args.out)
     save_rules(out, rules, store.relations)
     write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "mine", args,

@@ -217,9 +217,10 @@ def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
     return FactStore(relations, tuples, facts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Rule:
-    """An implication between relations: antecedent implies consequent."""
+    """An implication between relations: antecedent implies consequent.
+    Rules sort by (antecedent id, consequent id)."""
     antecedent: int
     consequent: int
 

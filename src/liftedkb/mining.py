@@ -3,65 +3,50 @@
 A surface pattern is a dependency-path string like `appos->diplomat->amod`.
 Replacing one word by a hypernym (diplomat -> official) yields a candidate
 more-general pattern; if that pattern also occurs in the vocabulary, the
-original pattern implies it and a rule is emitted.
+original pattern implies it and a rule is emitted. A rule is a `data.Rule`
+of pattern ids from the moment it is found or read, as in training.
+
+File formats (stable CLI contracts):
+  lexicon file:   `word<TAB>hypernym` per line, UTF-8; blank lines are
+                  skipped, and a word given as its own hypernym is skipped
+                  with a warning naming its line.
+  decision file:  `accept|reject<TAB>antecedent => consequent` per line,
+                  the rule written as in a rule file. A mined rule with no
+                  decision is rejected; a decision for a rule that was not
+                  mined is ignored with a warning; the same rule both
+                  accepted and rejected is a data error.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 
 from .data import Rule, Vocab, parse_rule_line
-from .errors import ParseError
+from .errors import DataError, ParseError
 
 log = logging.getLogger(__name__)
 
 _DELIMITERS = re.compile(r"(->|<-)")
 
 
-class HypernymLexicon:
-    """Flat word -> hypernym-set map loaded from `word<TAB>hypernym` lines."""
-
-    def __init__(self, entries=()):
-        self._map: dict[str, set[str]] = {}
-        for word, hypernym in entries:
-            self.add(word, hypernym)
-
-    def add(self, word: str, hypernym: str) -> bool:
-        if word == hypernym:
-            log.warning("self-hypernym %r rejected", word)
-            return False
-        self._map.setdefault(word, set()).add(hypernym)
-        return True
-
-    def hypernyms(self, word: str) -> set[str]:
-        return self._map.get(word, set())
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    @classmethod
-    def load(cls, path) -> "HypernymLexicon":
-        lexicon = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2 or not fields[0] or not fields[1]:
-                    raise ParseError(f"{path}:{lineno}: expected `word<TAB>hypernym`")
-                lexicon.add(fields[0], fields[1])
-        return lexicon
-
-
-@dataclass(frozen=True)
-class MinedRule:
-    rule: Rule
-    position: int       # token index of the substituted word
-    original: str
-    hypernym: str
+def load_lexicon(path) -> dict[str, set[str]]:
+    """word -> its hypernyms, from a `word<TAB>hypernym` lexicon file."""
+    lexicon: dict[str, set[str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise ParseError(f"{path}:{lineno}: expected `word<TAB>hypernym`")
+            word, hypernym = fields
+            if word == hypernym:
+                log.warning("%s:%d: self-hypernym %r rejected", path, lineno, word)
+                continue
+            lexicon.setdefault(word, set()).add(hypernym)
+    return lexicon
 
 
 def tokenize_pattern(pattern: str) -> list[str]:
@@ -75,44 +60,29 @@ def tokenize_pattern(pattern: str) -> list[str]:
     return _DELIMITERS.split(pattern)
 
 
-def mine_rules(patterns: Vocab, lexicon: HypernymLexicon) -> list[MinedRule]:
+def mine_rules(patterns: Vocab, lexicon: dict[str, set[str]]) -> list[Rule]:
     """All single-word hypernym substitutions that land back in the vocabulary.
 
-    Pure function of its inputs: output is deduplicated on the rule pair and
-    sorted by (antecedent id, consequent id).
+    Pure function of its inputs: the rules are distinct and sorted by
+    (antecedent id, consequent id).
     """
     if len(patterns) == 0:
         raise ValueError("empty pattern vocabulary")
-    mined: dict[Rule, MinedRule] = {}
-    for pattern in patterns.names:
+    mined: set[Rule] = set()
+    for antecedent, pattern in enumerate(patterns.names):
         tokens = tokenize_pattern(pattern)
         for pos in range(0, len(tokens), 2):
-            word = tokens[pos]
-            if not word:
-                continue
-            for hypernym in sorted(lexicon.hypernyms(word)):
+            for hypernym in lexicon.get(tokens[pos], ()):
                 substituted = "".join(tokens[:pos] + [hypernym] + tokens[pos + 1:])
-                if substituted == pattern or substituted not in patterns:
-                    continue
-                rule = Rule(patterns.id(pattern), patterns.id(substituted))
-                if rule not in mined:
-                    mined[rule] = MinedRule(rule, pos, word, hypernym)
-    return sorted(mined.values(), key=lambda m: (m.rule.antecedent, m.rule.consequent))
+                if substituted != pattern and substituted in patterns:
+                    mined.add(Rule(antecedent, patterns.id(substituted)))
+    return sorted(mined)
 
 
-def canonical_rule_string(rule: Rule, patterns: Vocab) -> str:
-    return f"{patterns.name(rule.antecedent)} => {patterns.name(rule.consequent)}"
-
-
-def filter_rules(mined, decisions_path, patterns: Vocab) -> list[Rule]:
-    """Apply an accept/reject decision file to mined rules.
-
-    Decision lines read `accept|reject<TAB>antecedent => consequent`. Mined
-    rules without a decision default to rejected; decisions naming unknown
-    rules are ignored with a warning.
-    """
-    known = {canonical_rule_string(m.rule, patterns): m.rule for m in mined}
-    accepted: set[str] = set()
+def filter_rules(mined: list[Rule], decisions_path, patterns: Vocab) -> list[Rule]:
+    """The mined rules a decision file accepts, in mined order."""
+    known = set(mined)
+    verdicts: dict[Rule, tuple[str, int]] = {}  # rule -> (verdict, first line)
     with open(decisions_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -126,12 +96,15 @@ def filter_rules(mined, decisions_path, patterns: Vocab) -> list[Rule]:
                 ant, cons = parse_rule_line(rest)
             except ParseError as exc:
                 raise ParseError(f"{decisions_path}:{lineno}: {exc}") from None
-            key = f"{ant} => {cons}"
-            if key not in known:
-                log.warning("%s:%d: decision for unknown rule ignored: %s",
-                            decisions_path, lineno, key)
+            rule = (Rule(patterns.id(ant), patterns.id(cons))
+                    if ant in patterns and cons in patterns else None)
+            if rule not in known:
+                log.warning("%s:%d: decision for unknown rule ignored: %s => %s",
+                            decisions_path, lineno, ant, cons)
                 continue
-            if verdict == "accept":
-                accepted.add(key)
-    return [m.rule for m in mined
-            if canonical_rule_string(m.rule, patterns) in accepted]
+            first, first_line = verdicts.setdefault(rule, (verdict, lineno))
+            if first != verdict:
+                raise DataError(f"{decisions_path}:{lineno}: {verdict} of {ant} => {cons} "
+                                f"conflicts with the {first} at line {first_line}")
+    accepted = {rule for rule, (verdict, _) in verdicts.items() if verdict == "accept"}
+    return [rule for rule in mined if rule in accepted]

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 
-from .data import Rule
 from .errors import ParseError
 
 VARIANTS = ("f", "fs", "fsl")
@@ -89,22 +88,6 @@ def recon_pair_loss(s):
     formula overflows for large |s|.
     """
     return np.logaddexp(0.0, s)
-
-
-def implication_pair_loss(s, delta):
-    """Margin hinge max(0, s + delta); exactly 0 once s <= -delta."""
-    return np.maximum(0.0, s + delta)
-
-
-def lifted_rule_loss(params: ModelParams, rule: Rule, delta: float) -> float:
-    """Tuple-independent rule loss: hinge summed over dimensions.
-
-    sum_i max(0, r_ant[i] - r_cons[i] + delta). Zero exactly when the
-    antecedent vector sits at least delta below the consequent everywhere,
-    which makes the implication hold for every non-negative tuple.
-    """
-    diff = params.relations[rule.antecedent] - params.relations[rule.consequent]
-    return float(np.maximum(0.0, diff + delta).sum())
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Shared test oracles: the batch loss and its per-occurrence gradients,
-finite-difference gradients, the rule loss grounded over explicit tuples,
-brute-force AP, the per-draw negative sampler, out-of-place ADAM and the
-per-line fact-file readers.
+"""Shared test oracles and fixtures: the batch loss and its per-occurrence
+gradients, finite-difference gradients, the rule loss lifted to one hinge
+per dimension and grounded over explicit tuples, brute-force AP, the
+per-draw negative sampler, out-of-place ADAM, the per-line fact-file
+readers, and a pattern corpus for rule mining.
 
 These stay independent of the code paths they check: `batch_loss` and
 `recon_l2_gradients_oracle` take the sigmoid once per pair occurrence, the
@@ -13,6 +14,8 @@ expressions with fresh temporaries, and the fact-file oracles parse, check
 and number one line at a time.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import expit
 
@@ -20,8 +23,8 @@ from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import DataError, ParseError
 from liftedkb.model import (Batch, Gradients, LossBreakdown, ModelConfig, ModelParams,
-                            effective_tuples, implication_pair_loss, lifted_rule_loss,
-                            recon_pair_loss)
+                            effective_tuples, recon_pair_loss)
+from liftedkb.synthetic import clustered_corpus
 from liftedkb.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                               MAX_NEGATIVE_ATTEMPTS)
 
@@ -56,6 +59,22 @@ def touched_rows(batch: Batch, rule_idx) -> tuple[np.ndarray, np.ndarray]:
     rel = np.concatenate([batch.relations, *rule_idx])
     tup = np.concatenate([batch.positives, batch.negatives])
     return np.unique(rel), np.unique(tup)
+
+
+def implication_pair_loss(s, delta):
+    """Margin hinge max(0, s + delta); exactly 0 once s <= -delta."""
+    return np.maximum(0.0, s + delta)
+
+
+def lifted_rule_loss(params: ModelParams, rule: Rule, delta: float) -> float:
+    """Tuple-independent rule loss: hinge summed over dimensions.
+
+    sum_i max(0, r_ant[i] - r_cons[i] + delta). Zero exactly when the
+    antecedent vector sits at least delta below the consequent everywhere,
+    which makes the implication hold for every non-negative tuple.
+    """
+    diff = params.relations[rule.antecedent] - params.relations[rule.consequent]
+    return float(np.maximum(0.0, diff + delta).sum())
 
 
 def batch_loss(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> LossBreakdown:
@@ -292,3 +311,44 @@ def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactS
                         + ", ".join(sorted(unknown)))
     return FactStore(relations, tuples,
                      [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])
+
+
+@dataclass
+class PatternCorpus:
+    store: FactStore
+    rules: list[Rule]              # the injected implications
+    distractors: list[Rule]        # mined too, but the facts do not imply them
+    lexicon: list[tuple[str, str]]  # (word, hypernym) edges
+
+
+def pattern_corpus(**kwargs) -> PatternCorpus:
+    """`clustered_corpus(**kwargs)` with dependency-path relation names and a
+    hypernym lexicon that mines its injected rules plus distractors.
+
+    Injected pair j of cluster c becomes `p<-w{c}_{j}->q` => `p<-h{c}_{j}->q`,
+    with the lexicon edge `w{c}_{j} -> h{c}_{j}`; every other relation i of
+    cluster c is `p<-x{c}_{i}->q`. The distractor edges land on existing
+    patterns: the reverse of each injected edge (a consequent has facts of
+    its own) and, per cluster, one edge between its first two other
+    relations. Two more edges land on no pattern and mine nothing.
+    """
+    corpus = clustered_corpus(**kwargs)
+    names = corpus.store.relations.names
+    cluster_index = [tuple(map(int, name[1:].split("_r"))) for name in names]
+    words = {}
+    for rule in corpus.rules:
+        c, i = cluster_index[rule.antecedent]
+        words[rule.antecedent], words[rule.consequent] = f"w{c}_{i // 2}", f"h{c}_{i // 2}"
+    others = {}
+    for rid, (c, i) in enumerate(cluster_index):
+        if rid not in words:
+            words[rid] = f"x{c}_{i}"
+            others.setdefault(c, []).append(rid)
+    lexicon = [(words[r.antecedent], words[r.consequent]) for r in corpus.rules]
+    distractors = [Rule(r.consequent, r.antecedent) for r in corpus.rules]
+    distractors += [Rule(*rids[:2]) for rids in others.values() if len(rids) > 1]
+    lexicon += [(words[r.antecedent], words[r.consequent]) for r in distractors]
+    lexicon += [(words[corpus.rules[0].antecedent], "absent"), ("q", "z")]
+    relations = Vocab(f"p<-{words[rid]}->q" for rid in range(len(names)))
+    store = FactStore(relations, corpus.store.tuples, corpus.store.facts)
+    return PatternCorpus(store, corpus.rules, distractors, lexicon)

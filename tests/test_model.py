@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (away_from_hinge_kinks, batch_from_pairs, batch_loss, dense_gradients,
-                     finite_difference_gradients, grounded_rule_loss, random_instance,
-                     recon_l2_gradients_oracle, relative_gradient_error)
+                     finite_difference_gradients, grounded_rule_loss, implication_pair_loss,
+                     lifted_rule_loss, random_instance, recon_l2_gradients_oracle,
+                     relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import ParseError
-from liftedkb.model import (Batch, LossBreakdown, ModelConfig, ModelParams,
-                            implication_pair_loss, lifted_rule_loss, recon_pair_loss)
+from liftedkb.model import Batch, LossBreakdown, ModelConfig, ModelParams, recon_pair_loss
 
 
 def params_of(relations, tuple_pre):
