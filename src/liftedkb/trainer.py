@@ -45,6 +45,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# Values per ADAM work buffer: each block's touched rows are updated in slices
+# of ADAM_BLOCK // k rows (at least one), so the four (slice, k) buffers take
+# 128 KB each and stay in L2 whatever the batch touches.
+ADAM_BLOCK = 1 << 14
+
 
 @dataclass
 class TrainOptions:
@@ -136,36 +141,56 @@ def sample_negatives(store: FactStore, relations, rng,
 def _adam_update_block(name, theta, grad, m, v, rows, t, options):
     """ADAM on the rows `rows` of one block; `grad` row i belongs to `rows[i]`.
 
-    In place on four row-sized buffers, yet each IEEE operation has the
+    The checks run on the whole block first, so a bad block leaves every row
+    as it was. The rows are then updated in slices of `ADAM_BLOCK // k` rows:
+    all touched rows at once would take four (rows, k) buffers, megabytes per
+    batch, which overflow L2 and which the allocator hands back to the OS
+    after each batch, so they page-fault again on the next. The four slice
+    buffers are allocated once per call; each slice gathers m, v and theta
+    into them (`np.take` with `mode="clip"`, which skips the bounds pass and
+    the copy that `mode="raise"` makes; the rows were checked above), updates
+    them in place and scatters them back. Every IEEE operation has the
     operands of `b1 * m + (1 - b1) * grad`, `b2 * v + (1 - b2) * grad * grad`
-    and `theta - lr * m_hat / (sqrt(v_hat) + eps)` read left to right, so
-    the results are byte-equal to that out-of-place form.
+    and `theta - lr * m_hat / (sqrt(v_hat) + eps)` read left to right, and
+    each is elementwise and correctly rounded, so neither the in-place order
+    nor the slicing changes a bit of that out-of-place form (the rows are
+    distinct, so no slice reads what another wrote).
     """
     if grad.shape[0] != len(rows):
         raise ValueError(f"{name}: gradient buffer has {grad.shape[0]} rows "
                          f"for {len(rows)} touched rows")
+    if len(rows) and not 0 <= rows.min() <= rows.max() < len(theta):
+        raise IndexError(f"{name}: touched rows outside 0..{len(theta) - 1}")
     if not np.all(np.isfinite(grad)):
         raise NumericalError(f"non-finite gradient in {name}")
-    m_rows = m[rows]
-    m_rows *= ADAM_BETA1
-    scaled = (1 - ADAM_BETA1) * grad
-    m_rows += scaled
-    v_rows = v[rows]
-    v_rows *= ADAM_BETA2
-    np.multiply(1 - ADAM_BETA2, grad, out=scaled)
-    scaled *= grad
-    v_rows += scaled
-    m[rows] = m_rows
-    v[rows] = v_rows
-    m_rows /= 1 - ADAM_BETA1 ** t  # m_hat
-    v_rows /= 1 - ADAM_BETA2 ** t  # v_hat
-    np.sqrt(v_rows, out=v_rows)
-    v_rows += ADAM_EPSILON
-    m_rows *= options.learning_rate
-    m_rows /= v_rows
-    theta_rows = theta[rows]
-    theta_rows -= m_rows
-    theta[rows] = theta_rows
+    m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+    k = theta.shape[1]
+    step = max(ADAM_BLOCK // k, 1)
+    buffers = np.empty((4, min(step, len(rows)), k))
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        g = grad[start:start + step]
+        m_rows, v_rows, theta_rows, scaled = buffers[:, :len(part)]
+        np.take(m, part, axis=0, out=m_rows, mode="clip")
+        m_rows *= ADAM_BETA1
+        np.multiply(1 - ADAM_BETA1, g, out=scaled)
+        m_rows += scaled
+        np.take(v, part, axis=0, out=v_rows, mode="clip")
+        v_rows *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, g, out=scaled)
+        scaled *= g
+        v_rows += scaled
+        m[part] = m_rows
+        v[part] = v_rows
+        m_rows /= m_scale  # m_hat
+        v_rows /= v_scale  # v_hat
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += ADAM_EPSILON
+        m_rows *= options.learning_rate
+        m_rows /= v_rows
+        np.take(theta, part, axis=0, out=theta_rows, mode="clip")
+        theta_rows -= m_rows
+        theta[part] = theta_rows
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
@@ -175,7 +200,8 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     `grads` is row-compact (see `model.Gradients`): each block's buffer has
     one row per entry of its row array. Moments of untouched rows are not
     decayed (lazy/sparse semantics), so an epoch costs O(nnz) regardless of
-    vocabulary sizes.
+    vocabulary sizes, and its work buffers are bounded by `ADAM_BLOCK`
+    values, not by the touched rows (see `_adam_update_block`).
     """
     state.step += 1
     _adam_update_block("relation embeddings", params.relations, grads.relations,
@@ -253,6 +279,10 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
             adam_rows += len(grads.relation_rows) + len(grads.tuple_rows)
         attempts_total, n_kept = int(attempts.sum()), int(kept.sum())
         collisions = attempts_total - n_kept  # every draw but each kept pair's last
+        if n_batches == 0:
+            log.warning("epoch %d ran no batch: all %d pairs were dropped (every "
+                        "negative draw hit an observed fact), so its losses read 0",
+                        epoch, n - n_kept)
         epoch_stats = EpochStats(
             epoch=epoch,
             loss=LossBreakdown(*(sums / max(n_batches, 1))),

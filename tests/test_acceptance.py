@@ -3,6 +3,7 @@ pass/fail line with the measured quantity. Runs single-threaded.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,3 +303,40 @@ def test_criterion_9_cli_determinism(tmp_path):
     report("criterion 9 (CLI determinism)",
            identical and elapsed < 60,
            f"checkpoint byte-identical: {identical}, {elapsed:.1f}s")
+
+
+def _epoch_memory_peak(n_tuples, epochs=3):
+    """Largest tracemalloc peak of an epoch above the arrays live at its end,
+    epoch 0 (whose peak includes set-up) left out."""
+    store = random_corpus(500, n_tuples, 20_000, seed=20)
+    peaks = []
+
+    def measure(stats):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(store, [], ModelConfig(k=20, variant="fs"),
+              TrainOptions(epochs=epochs, batch_size=8192, seed=1), callbacks=[measure])
+    finally:
+        tracemalloc.stop()
+    return max(peaks[1:])
+
+
+def test_criterion_10_epoch_memory_is_o_nnz():
+    """An epoch's working memory does not grow with the tuple vocabulary.
+
+    A batch touches at most 2 x batch distinct tuple rows, so above the
+    parameter and moment arrays an epoch's peak levels off as |T| grows; a
+    buffer sized by |T| (or by all touched rows of an epoch) would not.
+    """
+    start = time.perf_counter()
+    peak_200k, peak_1m = _epoch_memory_peak(200_000), _epoch_memory_peak(1_000_000)
+    ratio = peak_1m / peak_200k
+    elapsed = time.perf_counter() - start
+    report("criterion 10 (epoch memory is O(nnz))",
+           ratio <= 1.1 and elapsed < 60,
+           f"epoch peak above live arrays {peak_200k / 1e6:.2f} MB at |T|=2*10^5 vs "
+           f"{peak_1m / 1e6:.2f} MB at |T|=10^6 (ratio {ratio:.3f}), {elapsed:.1f}s")

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,14 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="tuple pre-activations"):
             trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
 
+    @pytest.mark.parametrize("row", [-1, 1])
+    def test_rows_outside_block_rejected(self, row):
+        params, state, grads = self.make(1.0)
+        grads.relation_rows = np.array([row])
+        with pytest.raises(IndexError, match="relation embeddings"):
+            trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
+        assert params.relations[0, 0] == 0.0 and state.m_rel[0, 0] == 0.0
+
     @pytest.mark.parametrize("options", [
         TrainOptions(epochs=1),
         TrainOptions(epochs=1, learning_rate=0.02)])
@@ -213,24 +222,62 @@ class TestAdamStep:
                    state.m_rel, state.v_rel, state.m_tup, state.v_tup]
             assert [a.tobytes() == b.tobytes() for a, b in zip(got, expected)] == [True] * 6
 
+    @pytest.mark.parametrize("k, block, full_slices, remainder", [
+        (6, 24, 3, 3),      # 4 rows a slice
+        (3, 16, 4, 2),      # 5 rows a slice, the block no multiple of k
+        (7, 4, 6, 0),       # k > ADAM_BLOCK: one row a slice
+        (6, None, 3, 1),    # the shipped ADAM_BLOCK
+    ])
+    def test_slices_match_out_of_place_oracle_bytes(self, monkeypatch, k, block,
+                                                    full_slices, remainder):
+        # both blocks' rows span several slices plus a remainder, so a slice
+        # that drops, repeats or skips a row moves some bit off the oracle
+        if block is not None:
+            monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        n = full_slices * max(trainer.ADAM_BLOCK // k, 1) + remainder
+        rng = np.random.default_rng(n)
+        sizes = (n, 2 * n)  # relations, tuples: all relation rows, half the tuple rows
+        params = ModelParams(rng.normal(size=(sizes[0], k)), rng.normal(size=(sizes[1], k)))
+        state = AdamState.zeros(*sizes, k)
+        expected = [params.relations.copy(), params.tuple_pre.copy(),
+                    state.m_rel.copy(), state.v_rel.copy(),
+                    state.m_tup.copy(), state.v_tup.copy()]
+        options = TrainOptions(epochs=1, learning_rate=0.02)
+        for t in range(1, 4):
+            rows = [np.arange(n), np.sort(rng.choice(sizes[1], n, replace=False))]
+            grads = [rng.normal(size=(n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+                     for _ in rows]
+            trainer.adam_step(params, Gradients(*grads, *rows), state, options)
+            theta_rel, theta_tup, m_rel, v_rel, m_tup, v_tup = expected
+            adam_update_oracle(theta_rel, grads[0], m_rel, v_rel, rows[0], t, options)
+            adam_update_oracle(theta_tup, grads[1], m_tup, v_tup, rows[1], t, options)
+            got = [params.relations, params.tuple_pre,
+                   state.m_rel, state.v_rel, state.m_tup, state.v_tup]
+            assert [a.tobytes() == b.tobytes() for a, b in zip(got, expected)] == [True] * 6
+
     def test_tuple_step_peak_memory(self):
-        # one step over 1,000 of 20,000 tuple rows allocates a few row-sized
-        # buffers, not one per subexpression
-        rows, k = 1_000, 100
+        # a step's work buffers are ADAM_BLOCK-sized slices, so ten times the
+        # touched rows adds no more than the finiteness check's (rows, k) bool
+        k, n_tuples = 100, 20_000
         rng = np.random.default_rng(2)
-        params = ModelParams(np.zeros((1, k)), rng.normal(size=(20_000, k)))
-        state = AdamState.zeros(1, 20_000, k)
-        grads = Gradients(np.zeros((0, k)), rng.normal(size=(rows, k)),
-                          np.array([], dtype=np.int64),
-                          np.sort(rng.choice(20_000, rows, replace=False)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * rows * k * 8, f"peak {peak / (rows * k * 8):.2f}x the block"
+        params = ModelParams(np.zeros((1, k)), rng.normal(size=(n_tuples, k)))
+        state = AdamState.zeros(1, n_tuples, k)
+        peaks = {}
+        for rows in (1_000, 10_000):
+            grads = Gradients(np.zeros((0, k)), rng.normal(size=(rows, k)),
+                              np.array([], dtype=np.int64),
+                              np.sort(rng.choice(n_tuples, rows, replace=False)))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                trainer.adam_step(params, grads, state, TrainOptions(epochs=1))
+                peaks[rows] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            block = trainer.ADAM_BLOCK * 8
+            assert peaks[rows] <= 4.5 * block + rows * k, \
+                f"peak {peaks[rows] / block:.2f}x ADAM_BLOCK float64s at {rows} rows"
+        assert peaks[10_000] - peaks[1_000] <= 10_000 * k, peaks
 
     def test_moment_invariants(self):
         rng = np.random.default_rng(0)
@@ -338,6 +385,18 @@ class TestTrain:
         result = train(store, [], config, self.options(50))
         assert np.all(np.isfinite(result.params.relations))
         assert np.all(np.isfinite(result.params.tuple_pre))
+
+    def test_epoch_without_batch_warns(self, caplog):
+        # one fact over one tuple: every negative draw hits it, every pair drops
+        store = FactStore.from_named_pairs([("r", "t")])
+        with caplog.at_level(logging.WARNING, logger="liftedkb.trainer"):
+            result = train(store, [], ModelConfig(k=2), self.options(2))
+        assert [(s.adam_rows, s.dropped_pairs, s.loss.total) for s in result.stats] \
+            == [(0, 1, 0.0)] * 2
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        for epoch, message in enumerate(warnings):
+            assert message.startswith(f"epoch {epoch} ran no batch: all 1 pairs were dropped")
 
     def test_epoch_stats_fields(self):
         store = small_store()
