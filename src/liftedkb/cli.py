@@ -27,8 +27,6 @@ from .errors import DataError, NumericalError
 from .model import ModelConfig
 from .trainer import EpochStats, TrainOptions
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -104,19 +102,12 @@ def _config_and_options(args) -> tuple[ModelConfig, TrainOptions]:
         raise UsageError(exc) from None
 
 
-def _load_rules_checked(path, relations) -> list:
-    rules, skipped = load_rules(path, relations)
-    if skipped:
-        log.warning("%d rule lines skipped", skipped)
-    return rules
-
-
 def cmd_train(args) -> int:
     config, options = _config_and_options(args)
     if args.variant == "fsl" and args.rules is None:
         raise UsageError("--rules is required with --variant fsl")
     store = load_facts(args.facts)
-    rules = _load_rules_checked(args.rules, store.relations) if args.rules else []
+    rules, _ = load_rules(args.rules, store.relations) if args.rules else ([], 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -186,7 +177,7 @@ def cmd_mine(args) -> int:
 def cmd_analyze_asymmetry(args) -> int:
     params, relations, tuples = _load_checkpoint(args)
     train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
-    rules = _load_rules_checked(args.rules, relations)
+    rules, _ = load_rules(args.rules, relations)
     rows, grand_fwd, grand_bwd = evaluation.asymmetry_report(
         params, rules, train_store, args.variant)
     table = [[relations.name(row.rule.antecedent), relations.name(row.rule.consequent),
@@ -205,7 +196,7 @@ def cmd_analyze_asymmetry(args) -> int:
 def cmd_analyze_matrix(args) -> int:
     import numpy as np
     params, relations, _tuples = _load_checkpoint(args)
-    rules = _load_rules_checked(args.rules, relations)
+    rules, _ = load_rules(args.rules, relations)
     involved = sorted({i for r in rules for i in (r.antecedent, r.consequent)})
     if not involved:
         raise DataError("no rule-involved relations to export")
@@ -225,16 +216,12 @@ def cmd_analyze_zero_shot(args) -> int:
     config, options = _config_and_options(args)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
-    except ValueError:
-        raise UsageError(f"--fractions: expected comma-separated numbers, "
-                         f"got {args.fractions!r}") from None
-    if not all(0 <= f <= 1 for f in fractions):
-        raise UsageError(f"--fractions must lie in [0, 1], got {args.fractions!r}")
-    if fractions != sorted(set(fractions)):
-        raise UsageError("--fractions must be strictly increasing")
+        evaluation.check_fractions(fractions)
+    except ValueError as exc:
+        raise UsageError(f"--fractions {args.fractions!r}: {exc}") from None
     store = load_facts(args.facts)
     test = load_facts_with_vocab(args.test, store.relations, store.tuples)
-    rules = _load_rules_checked(args.rules, store.relations)
+    rules, _ = load_rules(args.rules, store.relations)
     if not rules:
         raise DataError("zero-shot analysis needs at least one resolvable rule")
     points = evaluation.zero_shot_sweep(store, test, rules, {r.consequent for r in rules},

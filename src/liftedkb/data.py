@@ -1,11 +1,15 @@
 """Vocabularies, fact storage, rule files, and dataset splits.
 
-File formats (stable CLI contracts):
-  fact file:  one fact per line, `relation<TAB>tuple`, UTF-8, LF lines.
-              The tuple is an opaque token (convention: `entityA|entityB`).
-              Names contain no whitespace.
-  rule file:  `antecedent => consequent` per line; TAB or space separation
-              around the `=>` token.
+File formats (stable CLI contracts), UTF-8 with LF or CRLF lines:
+  fact file:  `relation<TAB>tuple` per line; the tuple is an opaque token
+              (convention: `entityA|entityB`). Names hold no whitespace.
+  rule file:  `antecedent => consequent` per line, three tokens apart by
+              tabs or spaces (`a=>b` is an error). A rule naming an unknown
+              relation, and a self-implication, is skipped with a warning
+              naming its line; a repeated rule is kept once.
+Rule, lexicon, decision and checkpoint files are read by `read_lines`, which
+skips blank and whitespace-only lines (counting them in line numbers); a
+fact file skips empty lines only, and a whitespace-only line is an error.
 
 A fact file is read with one `read()` and split into name columns by
 str-level operations; the whole text is checked at once, and the lines are
@@ -225,49 +229,51 @@ class Rule:
     consequent: int
 
 
-def parse_rule_line(line: str) -> tuple[str, str]:
-    """Split `antecedent => consequent` (TAB or space tolerant)."""
-    parts = line.replace("\t", " ").split("=>")
-    if len(parts) != 2:
-        raise ParseError(f"missing `=>` separator in {line!r}")
-    ant, cons = parts[0].strip(), parts[1].strip()
-    if not ant or not cons:
-        raise ParseError(f"empty relation name in {line!r}")
-    return ant, cons
+def read_lines(path):
+    """Stream `(line number, line)` for each line of a UTF-8 text file that
+    holds more than whitespace, the newline removed; the skipped lines count."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
+
+
+def parse_rule_line(line: str, where: str) -> tuple[str, str]:
+    """Split `antecedent => consequent`: three tokens between tabs or spaces,
+    the middle one `=>`. Errors start with `where` (`path:line`)."""
+    parts = line.split()
+    if len(parts) == 3 and parts[1] == "=>":  # a name may be `=>` itself
+        return parts[0], parts[2]
+    if parts.count("=>") != 1:
+        problem = "missing `=>` separator"
+    elif parts[0] == "=>" or parts[-1] == "=>":
+        problem = "empty relation name"
+    else:
+        problem = "whitespace in relation name"
+    raise ParseError(f"{where}: {problem} in {line!r}")
 
 
 def load_rules(path, relations: Vocab) -> tuple[list[Rule], int]:
-    """Load a rule file, resolving names against `relations`.
+    """Load a rule file, resolving names against `relations`; returns the
+    distinct rules in file order and the number of lines skipped.
 
-    Rules naming unknown relations are skipped with a warning (the skip
-    count is returned); self-implications are rejected with a warning.
+    Rules naming unknown relations and self-implications are skipped with
+    a warning naming the line.
     """
-    rules: list[Rule] = []
-    seen = set()
+    rules: dict[Rule, None] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                ant, cons = parse_rule_line(line)
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if ant == cons:
-                log.warning("%s:%d: self-implication %r rejected", path, lineno, ant)
-                skipped += 1
-                continue
-            if ant not in relations or cons not in relations:
-                log.warning("%s:%d: rule references unknown relation, skipped: %s => %s",
-                            path, lineno, ant, cons)
-                skipped += 1
-                continue
-            rule = Rule(relations.id(ant), relations.id(cons))
-            if rule not in seen:
-                seen.add(rule)
-                rules.append(rule)
-    return rules, skipped
+    for lineno, line in read_lines(path):
+        ant, cons = parse_rule_line(line, f"{path}:{lineno}")
+        if ant == cons:
+            log.warning("%s:%d: self-implication %r rejected", path, lineno, ant)
+            skipped += 1
+        elif ant not in relations or cons not in relations:
+            log.warning("%s:%d: rule references unknown relation, skipped: %s => %s",
+                        path, lineno, ant, cons)
+            skipped += 1
+        else:
+            rules[Rule(relations.id(ant), relations.id(cons))] = None
+    return list(rules), skipped
 
 
 def save_rules(path, rules, relations: Vocab) -> None:

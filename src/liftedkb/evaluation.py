@@ -213,6 +213,15 @@ def subsample_relation_facts(store: FactStore, relations, fraction: float,
     return store.subset(~drop)
 
 
+def check_fractions(fractions) -> None:
+    """ValueError unless the retained fractions lie in [0, 1] (NaN does not)
+    in strictly increasing order."""
+    if not all(0 <= f <= 1 for f in fractions):
+        raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
+    if list(fractions) != sorted(set(fractions)):
+        raise ValueError("fractions must be strictly increasing")
+
+
 def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied,
                     fractions, config: ModelConfig,
                     options: trainer.TrainOptions) -> list[tuple[float, float]]:
@@ -224,9 +233,9 @@ def zero_shot_sweep(train: FactStore, test: FactStore, rules, implied,
     `test`. The ranking tasks are built once from the full `train` store so
     the curve compares the same task at every fraction. The CLI passes the
     rule consequents as `implied`; an FS baseline passes them with no rules.
+    `check_fractions` runs before anything is trained.
     """
-    if list(fractions) != sorted(set(fractions)):
-        raise ValueError("fractions must be strictly increasing")
+    check_fractions(fractions)
     implied = set(implied)
     if not implied:
         raise DataError("no implied relations given")

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 
+from .data import read_lines
 from .errors import ParseError
 
 VARIANTS = ("f", "fs", "fsl")
@@ -250,35 +251,34 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names, vari
 def load_embeddings(path):
     """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
 
-    Any header but `k <dim> variant <f|fs|fsl>` (the older `k <dim>` too; no
-    variant is assumed), a malformed or non-numeric row, or a name repeated
-    within the R or E rows raises ParseError with the line number.
+    Any header but `k <dim> variant <f|fs|fsl>` on line 1 (the older `k <dim>`
+    too: no variant is assumed), a malformed or non-numeric row, or a name
+    repeated in the R or E rows raises ParseError with the line number.
     """
     rows = {"R": [], "E": []}
     names = {"R": {}, "E": {}}  # name -> line number, in file order
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if (len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
-                or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
-            raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
-                             " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
-                             " v the variant the model was trained with")
-        k, variant = int(header[1]), header[3]
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != k + 2 or parts[0] not in rows:
-                raise ParseError(f"{path}:{lineno}: malformed embedding line")
-            tag, name = parts[0], parts[1]
-            if name in names[tag]:
-                raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
-                                 f"(first on line {names[tag][name]})")
-            names[tag][name] = lineno
-            try:
-                rows[tag].append(np.array([float(v) for v in parts[2:]]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    header = header.split()
+    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+            or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
+        raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
+                         " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
+                         " v the variant the model was trained with")
+    k, variant = int(header[1]), header[3]
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != k + 2 or parts[0] not in rows:
+            raise ParseError(f"{path}:{lineno}: malformed embedding line")
+        tag, name = parts[0], parts[1]
+        if name in names[tag]:
+            raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
+                             f"(first on line {names[tag][name]})")
+        names[tag][name] = lineno
+        try:
+            rows[tag].append(np.array([float(v) for v in parts[2:]]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value") from None
     if not rows["R"] or not rows["E"]:
         raise ParseError(f"{path}: checkpoint has no relations or no tuples")
     params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))

@@ -326,6 +326,26 @@ class TestMineCommand:
                      "--out", str(out)]) == 0
         assert out.read_text() == "appos->diplomat->amod\t=>\tappos->official->amod\n"
 
+    def test_mined_rules_train(self, tmp_path):
+        # patterns whose words hold `=>`: the rule file `mine` writes is one
+        # `train --rules` reads back (the third fact gives a negative tuple)
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("appos->diplomat=>x->amod\ta|b\nappos->official=>x->amod\ta|b\n"
+                         "appos->official=>x->amod\tc|d\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("diplomat=>x\tofficial=>x\n", encoding="utf-8")
+        mined = tmp_path / "mined.tsv"
+        assert main(["mine", "--facts", str(facts), "--lexicon", str(lexicon),
+                     "--out", str(mined)]) == 0
+        assert mined.read_text() == "appos->diplomat=>x->amod\t=>\tappos->official=>x->amod\n"
+        out = tmp_path / "run"
+        assert main(["train", "--facts", str(facts), "--variant", "fsl", "--rules", str(mined),
+                     "--epochs", "1", "--k", "4", "--delta", "1", "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        # a margin of 1 keeps the loaded rule's hinge open on every dimension
+        assert float(row["implication"]) > 0.0
+
     def test_no_matches_writes_empty_file(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
         facts.write_text("a->b\tx\n", encoding="utf-8")

@@ -9,6 +9,8 @@ from liftedkb.data import (FactStore, Rule, Vocab, holdout_split, load_facts,
                            load_facts_with_vocab, load_rules, save_rules)
 from liftedkb.errors import DataError, ParseError
 from liftedkb.evaluation import subsample_relation_facts
+from liftedkb.mining import filter_rules, load_lexicon
+from liftedkb.model import load_embeddings
 from liftedkb.synthetic import clustered_corpus, random_corpus
 
 
@@ -351,6 +353,70 @@ class TestLoadRules:
         save_rules(path, rules, vocab)
         reloaded, skipped = load_rules(path, vocab)
         assert reloaded == rules and skipped == 0
+
+    def test_names_may_hold_arrows(self, tmp_path):
+        # a name may contain `=>`, or be it: the middle of three tokens separates
+        vocab = Vocab(["p->a=>x", "p->b=>x", "=>"])
+        rules = [Rule(0, 1), Rule(2, 0), Rule(1, 2)]
+        path = tmp_path / "r.tsv"
+        save_rules(path, rules, vocab)
+        assert load_rules(path, vocab) == (rules, 0)
+
+    def test_repeated_rule_kept_once_in_first_order(self, tmp_path):
+        vocab = Vocab(["a", "b", "c"])
+        path = write(tmp_path, "r.tsv", "b => c\na => b\nb\t=>\tc\n")
+        assert load_rules(path, vocab) == ([Rule(1, 2), Rule(0, 1)], 0)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("a=>b", "missing `=>` separator"),
+        ("a =>b", "missing `=>` separator"),
+        ("a => b => c", "missing `=>` separator"),
+        ("=> b", "empty relation name"),
+        ("a =>", "empty relation name"),
+        ("a x => b", "whitespace in relation name"),
+    ], ids=["glued", "half-glued", "two-arrows", "no-antecedent", "no-consequent",
+            "whitespace"])
+    def test_malformed_rule_names_its_line(self, tmp_path, line, problem):
+        path = write(tmp_path, "r.tsv", f"a => b\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            load_rules(path, Vocab(["a", "b"]))
+        assert str(info.value) == f"{path}:2: {problem} in {line!r}"
+
+
+def _checkpoint_arrays(path):
+    params, relations, tuples, variant = load_embeddings(path)
+    return params.relations.tolist(), params.tuple_pre.tolist(), relations, tuples, variant
+
+
+# (lines before the gap, lines after it, a malformed line, loader, what loads)
+SHARED_READER_CASES = {
+    "rules": (["a\t=>\tb"], ["b => a"], "a b",
+              lambda path: load_rules(path, Vocab(["a", "b"])),
+              ([Rule(0, 1), Rule(1, 0)], 0)),
+    "lexicon": (["dog\tanimal"], ["cat\tanimal"], "dog",
+                load_lexicon, {"dog": {"animal"}, "cat": {"animal"}}),
+    "decisions": (["accept\tp->dog => p->animal"], ["reject\tq->dog\t=>\tq->animal"],
+                  "accept\tfoo bar",
+                  lambda path: filter_rules([Rule(0, 1), Rule(2, 3)], path,
+                                            Vocab(["p->dog", "p->animal", "q->dog", "q->animal"])),
+                  [Rule(0, 1)]),
+    "checkpoint": (["k 1 variant fs", "R a 0.5"], ["E t 0.25"], "E u",
+                   _checkpoint_arrays, ([[0.5]], [[0.25]], ["a"], ["t"], "fs")),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_READER_CASES)
+def test_shared_reader_counts_skipped_lines(tmp_path, case):
+    """Rule, lexicon, decision and checkpoint files skip blank and
+    whitespace-only CRLF lines, and still name a bad line by its number."""
+    before, after, bad, load, loaded = SHARED_READER_CASES[case]
+    gap = ["", " \t "]
+    path = tmp_path / "in.txt"
+    path.write_bytes("\r\n".join(before + gap + [bad] + after + [""]).encode())
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{len(before) + 3}:")):
+        load(path)
+    path.write_bytes("\r\n".join(before + gap + after + [""]).encode())
+    assert load(path) == loaded
 
 
 class TestHoldoutSplit:

@@ -306,3 +306,16 @@ class TestZeroShot:
         with pytest.raises(ValueError):
             zero_shot_sweep(store, store, [], {0}, [0.5, 0.25],
                             ModelConfig(k=2), TrainOptions(epochs=1))
+
+    @pytest.mark.parametrize("fractions", [[0.0, 0.5, 1.5], [0.0, 0.5, float("nan")],
+                                           [0.0, 1.0, 0.5]])
+    def test_bad_fractions_fail_before_training(self, monkeypatch, fractions):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before the fractions were checked")
+
+        monkeypatch.setattr(trainer, "train", fail)
+        train = FactStore.from_named_pairs([("p", "a"), ("q", "a"), ("q", "b")])
+        test = FactStore(train.relations, train.tuples, [(0, 1)])  # p b
+        with pytest.raises(ValueError, match="fractions must"):
+            zero_shot_sweep(train, test, [], {0}, fractions,
+                            ModelConfig(k=2), TrainOptions(epochs=1))

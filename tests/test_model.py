@@ -376,8 +376,12 @@ class TestPersistence:
         ("k 1 variant fsx\nR a 0.1\nE t 0.2\n", ":1:"),
         ("k 1 fs\nR a 0.1\nE t 0.2\n", ":1:"),
         ("k 1 variant fs x\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("\nk 1 variant fs\nR a 0.1\nE t 0.2\n", ":1:"),
+        (" \t\nk 1 variant fs\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("", ":1:"),
     ], ids=["non-numeric", "k-word", "k-zero", "k-missing", "variant-missing",
-            "variant-unknown", "variant-keyword-missing", "trailing-field"])
+            "variant-unknown", "variant-keyword-missing", "trailing-field",
+            "blank-line-1", "whitespace-line-1", "empty-file"])
     def test_bad_value_or_header_is_parse_error(self, tmp_path, text, where):
         path = tmp_path / "ckpt.txt"
         path.write_text(text, encoding="utf-8")
