@@ -106,6 +106,9 @@ def cmd_train(args) -> int:
     config, options = _config_and_options(args)
     if args.variant == "fsl" and args.rules is None:
         raise UsageError("--rules is required with --variant fsl")
+    if args.variant != "fsl" and args.rules is not None:
+        raise UsageError(f"--rules is used only with --variant fsl; --variant {args.variant} "
+                         "trains without rules")
     store = load_facts(args.facts)
     rules, _ = load_rules(args.rules, store.relations) if args.rules else ([], 0)
     outdir = Path(args.out)
@@ -242,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--facts", required=True, help="training fact file (relation<TAB>tuple)")
-    p.add_argument("--rules", help="rule file (antecedent => consequent); required for fsl")
+    p.add_argument("--rules", help="rule file (antecedent => consequent); required for "
+                   "fsl, an error for f and fs")
     p.add_argument("--out", required=True, help="output directory")
     _add_model_flags(p)
     _add_train_flags(p)

@@ -16,6 +16,11 @@ str-level operations; the whole text is checked at once, and the lines are
 walked one by one only to name the first bad line in the error. Names
 become ids through one dict lookup each, into an int64 array.
 
+The relation names `WEIGHTED_MAP` and `GRAND_MEAN` are reserved: they name
+the summary rows of the `eval` and `analyze asymmetry` CSVs, where a relation
+of that name would write a row identical to the summary. `load_facts`
+rejects them with the line that holds one.
+
 A `Vocab` is immutable: built once from its names, never grown. A
 `FactStore` holds its facts once, as an (n, 2) int64 array, with a
 per-relation CSR index and a sorted int64 key array beside it; it costs
@@ -35,6 +40,9 @@ import numpy as np
 from .errors import DataError, ParseError
 
 log = logging.getLogger(__name__)
+
+# relation names that would collide with a summary row of a report CSV
+RESERVED_RELATIONS = ("WEIGHTED_MAP", "GRAND_MEAN")
 
 
 class Vocab:
@@ -187,7 +195,8 @@ def load_facts(path) -> FactStore:
     """Parse a fact file into a FactStore; errors carry the line number.
 
     Names containing whitespace are rejected: the checkpoint format
-    separates fields by whitespace, so they could not be read back.
+    separates fields by whitespace, so they could not be read back. So are
+    the `RESERVED_RELATIONS` as relation names.
     """
     text, names = _read_fact_names(path)
     # with one tab per line, the text splits on whitespace into exactly the
@@ -197,7 +206,14 @@ def load_facts(path) -> FactStore:
             for name in line.split("\t"):
                 if name.split() != [name]:
                     raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
-    return FactStore.from_names(names[0::2], names[1::2])
+    store = FactStore.from_names(names[0::2], names[1::2])
+    if any(name in store.relations for name in RESERVED_RELATIONS):
+        for lineno, line in _numbered_lines(text):
+            relation = line.split("\t")[0]
+            if relation in RESERVED_RELATIONS:
+                raise ParseError(f"{path}:{lineno}: relation name {relation!r} is reserved "
+                                 "for a report's summary row")
+    return store
 
 
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:

@@ -5,12 +5,23 @@ tuple not observed with that relation in training (test positives therefore
 included). The pool is ranked by score descending with ties broken by
 ascending tuple id, so identical scores always yield identical rankings.
 
-`weighted_map` is the one ranking kernel. It computes the effective tuple
-embeddings (the sigmoid, for FS/FSL) once per call and scores `BLOCK`
-relations per matrix product. A positive's rank is 1, plus the number of
-pool scores strictly greater than its own (a sort and `searchsorted`), plus
-the number of pool ties with a smaller tuple id (counted only for positives
-whose score is tied).
+`weighted_map` is the one ranking kernel. It scores `BLOCK` relations at a
+time into one reused |T| x `BLOCK` score block, filled chunk by chunk: each
+chunk of `CHUNK` values of the effective tuple embeddings (the sigmoid, for
+FS/FSL) is computed once per call and multiplied while it is in cache. The
+chunks are kept only when a later block needs them, so with one block the
+|T| x k effective-tuple matrix never exists. A positive's rank is 1, plus the
+number of pool scores strictly greater than its own (a sort and
+`searchsorted`), plus the number of pool ties with a smaller tuple id
+(counted only for positives whose score is tied).
+
+Scores equal the whole product `effective_tuples(params, variant) @
+relations.T` bit for bit only where the BLAS sums each output element in the
+same order at any row offset. OpenBLAS does not always: a chunk product
+small enough for its small-matrix kernel, or a one-relation product whose
+chunk is not a multiple of its matrix-vector kernel's row group, can differ
+in the last bit. Such a difference moves an AP only when two pool scores lie
+within that bit of each other.
 """
 
 from __future__ import annotations
@@ -29,9 +40,13 @@ from .model import ModelConfig, ModelParams
 log = logging.getLogger(__name__)
 
 # Relations scored per matrix product in `weighted_map`: enough for the
-# product to run at matrix-matrix speed, few enough that the |T| x BLOCK
-# score block stays about the size of the |T| x k effective-tuple matrix.
+# product to run at matrix-matrix speed, few enough that the one |T| x BLOCK
+# score block stays about the size of the |T| x k effective-tuple matrix,
+# which is kept (chunk by chunk) only when there is more than one block.
 BLOCK = 64
+# float64 values of effective tuple embeddings per chunk of `weighted_map`
+# (256 KB, which stays in cache): a chunk is max(CHUNK // k, 1) tuple rows.
+CHUNK = 1 << 15
 
 
 @dataclass
@@ -142,11 +157,23 @@ def weighted_map(tasks, params: ModelParams, variant: str):
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no ranking tasks given")
-    effective = model.effective_tuples(params, variant)
+    n, k = params.tuple_pre.shape
+    step = max(CHUNK // k, 1)
+    buffer = np.empty(n * min(BLOCK, len(tasks)))
+    kept = []  # the effective-tuple chunks, for the blocks after the first
     rows = []
     for start in range(0, len(tasks), BLOCK):
         block = tasks[start:start + BLOCK]
-        scores = effective @ params.relations[[task.relation for task in block]].T
+        relations = params.relations[[task.relation for task in block]].T
+        scores = buffer[:n * len(block)].reshape(n, len(block))
+        for i, lo in enumerate(range(0, n, step)):
+            if start:
+                chunk = kept[i]
+            else:
+                chunk = model.effective_tuples(params, variant, slice(lo, lo + step))
+                if len(tasks) > BLOCK:
+                    kept.append(chunk)
+            np.matmul(chunk, relations, out=scores[lo:lo + step])
         if np.isnan(scores).any():
             raise DataError("relation scores contain NaN: the model has non-finite parameters")
         for j, task in enumerate(block):

@@ -336,3 +336,42 @@ def test_criterion_10_epoch_memory_is_o_nnz():
            ratio <= 1.1 and elapsed < 60,
            f"epoch peak above live arrays {peak_200k / 1e6:.2f} MB at |T|=2*10^5 vs "
            f"{peak_1m / 1e6:.2f} MB at |T|=10^6 (ratio {ratio:.3f}), {elapsed:.1f}s")
+
+
+def _evaluation_peak(n_relations, n_tuples=20_000, k=50):
+    """tracemalloc peak of one FS `weighted_map` call above its inputs."""
+    rng = np.random.default_rng(11)
+    params = ModelParams(rng.normal(size=(n_relations, k)), rng.normal(size=(n_tuples, k)))
+    tasks = [evaluation.RankingTask(r, {r, n_tuples - 1 - r}, np.array([], dtype=np.int64),
+                                    n_tuples) for r in range(n_relations)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weighted_map(tasks, params, "fs")
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_11_evaluation_memory_is_one_score_block():
+    """Evaluation holds one |T| x BLOCK score block at a time.
+
+    With one block, the effective-tuple matrix E (|T| x k) is never built:
+    its chunks of `evaluation.CHUNK` values are scored as they are computed.
+    With more blocks, the chunks are kept for the later blocks, so E exists
+    once. The slack is the NaN check's boolean mask over the block, one
+    chunk, and four |T|-long float64 temporaries of the AP (the pool's
+    scores and their sorted copy among them).
+    """
+    n_tuples, k = 20_000, 50
+    effective = 8 * n_tuples * k
+    details, ok = [], True
+    for n_relations in (8, 200):
+        peak = _evaluation_peak(n_relations, n_tuples, k)
+        block = 8 * n_tuples * min(n_relations, evaluation.BLOCK)
+        slack = block // 8 + 8 * (evaluation.CHUNK + 4 * n_tuples)
+        bound = block + slack + (effective if n_relations > evaluation.BLOCK else 0)
+        ok &= peak <= bound
+        details.append(f"{n_relations} relations: {peak / 1e6:.2f} MB (bound {bound / 1e6:.2f})")
+    report("criterion 11 (evaluation memory is one score block)", ok,
+           f"peak above inputs at |T|={n_tuples}, k={k}: " + "; ".join(details))

@@ -83,6 +83,19 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "x"), "--variant", "fsl", "--epochs", "1"]
         assert main(args) == 1
 
+    @pytest.mark.parametrize("variant", ["f", "fs"])
+    def test_rules_without_fsl_is_usage_error_before_loading(self, tmp_path, capsys,
+                                                             variant):
+        # f and fs train without rules, so a rule file would be validated,
+        # listed in the manifest and then ignored
+        args = ["train", "--facts", str(tmp_path / "absent.tsv"), "--rules", "absent.tsv",
+                "--variant", variant, "--out", str(tmp_path / "x"), "--epochs", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: --rules is used only with --variant fsl; --variant {variant}" in err
+        assert "absent.tsv" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_variant_is_usage_error(self, corpus_files, tmp_path):
         args = ["train", "--facts", str(corpus_files["facts"]),
                 "--out", str(tmp_path / "x"), "--variant", "bogus", "--epochs", "1"]
@@ -150,6 +163,14 @@ class TestTrainCommand:
                 "--epochs", "1", "--k", "2"]
         assert main(args) == 2
         assert "facts.tsv:2: whitespace in name 'born in'" in capsys.readouterr().err
+
+    def test_reserved_relation_name_is_data_error(self, tmp_path, capsys):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("r\ta|b\nWEIGHTED_MAP\tc|d\n", encoding="utf-8")
+        args = ["train", "--facts", str(facts), "--out", str(tmp_path / "x"),
+                "--epochs", "1", "--k", "2"]
+        assert main(args) == 2
+        assert "facts.tsv:2: relation name 'WEIGHTED_MAP' is reserved" in capsys.readouterr().err
 
     def test_undecodable_facts_file_is_data_error(self, tmp_path):
         facts = tmp_path / "facts.tsv"

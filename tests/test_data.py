@@ -58,6 +58,14 @@ class TestLoadFacts:
         with pytest.raises(ParseError, match=re.escape(message)):
             load_facts(path)
 
+    @pytest.mark.parametrize("name", ["WEIGHTED_MAP", "GRAND_MEAN"])
+    def test_reserved_relation_name_reports_its_line(self, tmp_path, name):
+        # the name of a report's summary row; as a tuple it is an ordinary name
+        path = write(tmp_path, "f.tsv", f"r\t{name}\n\nr\ta|b\r\n{name}\ta|b\n{name}\tc\n")
+        message = f"f.tsv:4: relation name {name!r} is reserved for a report's summary row"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_facts(path)
+
     def test_crlf_line_endings_read_as_lf(self, tmp_path):
         path = tmp_path / "f.tsv"
         path.write_bytes(b"r\ta|b\r\nq\tc|d\r\n")

@@ -164,6 +164,9 @@ class TestRankingKernel:
 
     @pytest.mark.parametrize("n_rel", [1, 64, 65, 200])
     def test_effective_tuples_once_per_call(self, monkeypatch, n_rel):
+        # each tuple row passes through effective_tuples exactly once per
+        # call, whatever the number of blocks: the chunk slices cover 0..n
+        # once (CHUNK = 12 at k = 3 makes chunks of 4, 4 and 2 rows)
         calls = []
         real = model.effective_tuples
 
@@ -172,10 +175,68 @@ class TestRankingKernel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(model, "effective_tuples", counting)
+        monkeypatch.setattr(evaluation, "CHUNK", 12)
         rng = np.random.default_rng(3)
         params = ModelParams(rng.normal(size=(n_rel, 3)), rng.normal(size=(10, 3)))
         weighted_map([task(r, {r % 10}, 10) for r in range(n_rel)], params, "fs")
-        assert calls == [("fs",)]
+        assert [variant for variant, _ in calls] == ["fs"] * 3
+        assert np.concatenate([np.arange(10)[rows] for _, rows in calls]).tolist() == \
+            list(range(10))
+
+    # (variant, CHUNK, tuples, k, relations): a ragged last chunk in one
+    # block and in three; k > CHUNK, where a chunk is one row; the shipped
+    # CHUNK over several chunks
+    CHUNKED = [("f", 12, 10, 3, 1), ("fs", 12, 10, 3, 150), ("f", 2, 7, 5, 3),
+               ("fs", 2, 7, 5, 65), ("fs", None, 1000, 100, 70)]
+
+    @staticmethod
+    def _chunked_case(monkeypatch, chunk, n_tup, k, n_rel, exact):
+        if chunk is not None:
+            monkeypatch.setattr(evaluation, "CHUNK", chunk)
+        rng = np.random.default_rng(n_tup * k + n_rel)
+        if exact:
+            # integer relations; tuples whose sigmoid is 0, 0.5 or 1 exactly:
+            # every product and sum is exact, in any order
+            params = ModelParams(rng.integers(-3, 4, (n_rel, k)).astype(float),
+                                 rng.choice([-800.0, 0.0, 800.0], (n_tup, k)))
+        else:
+            params = ModelParams(rng.normal(size=(n_rel, k)), rng.normal(size=(n_tup, k)))
+        tasks = [task(r, {r % n_tup}, n_tup) for r in rng.permutation(n_rel).tolist()]
+        return params, tasks
+
+    @pytest.mark.parametrize("variant,chunk,n_tup,k,n_rel", CHUNKED)
+    def test_chunked_scores_equal_whole_product(self, monkeypatch, variant, chunk, n_tup,
+                                                k, n_rel):
+        # every chunk of every block lands in its own rows: with exact
+        # arithmetic the scores the AP sees are the whole product's, bit for bit
+        params, tasks = self._chunked_case(monkeypatch, chunk, n_tup, k, n_rel, exact=True)
+        seen = {}
+        real = evaluation._average_precision
+
+        def capture(scores, t):
+            seen[t.relation] = scores.copy()
+            return real(scores, t)
+
+        monkeypatch.setattr(evaluation, "_average_precision", capture)
+        weighted_map(tasks, params, variant)
+        whole = model.effective_tuples(params, variant) @ params.relations.T
+        assert sorted(seen) == list(range(n_rel))
+        for r, scores in seen.items():
+            assert np.array_equal(scores, whole[:, r])
+
+    @pytest.mark.parametrize("variant,chunk,n_tup,k,n_rel", CHUNKED)
+    def test_chunked_rows_equal_whole_product_rows(self, monkeypatch, variant, chunk,
+                                                   n_tup, k, n_rel):
+        # real-valued embeddings: the per-relation APs equal, bit for bit,
+        # those ranked from the whole product. The scores themselves agree
+        # only as far as the BLAS sums each element in the same order at any
+        # row offset (see the module docstring)
+        params, tasks = self._chunked_case(monkeypatch, chunk, n_tup, k, n_rel, exact=False)
+        _, rows = weighted_map(tasks, params, variant)
+        whole = model.effective_tuples(params, variant) @ params.relations.T
+        expected = {t.relation: evaluation._average_precision(whole[:, t.relation], t)
+                    for t in tasks}
+        assert {row.relation: row.average_precision for row in rows} == expected
 
     def test_positive_in_training_row_names_relation_and_tuples(self):
         params = ModelParams(np.ones((4, 1)), np.ones((5, 1)))
