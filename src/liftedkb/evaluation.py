@@ -174,7 +174,7 @@ def weighted_map(tasks, params: ModelParams, variant: str):
                 if len(tasks) > BLOCK:
                     kept.append(chunk)
             np.matmul(chunk, relations, out=scores[lo:lo + step])
-        if np.isnan(scores).any():
+        if np.isnan(scores.max()):  # max propagates NaN and allocates no mask
             raise DataError("relation scores contain NaN: the model has non-finite parameters")
         for j, task in enumerate(block):
             rows.append(RelationAP(task.relation, len(task.positives),

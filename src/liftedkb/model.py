@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 
-from .data import read_lines
+from .data import RESERVED_RELATIONS, read_lines
 from .errors import ParseError
 
 VARIANTS = ("f", "fs", "fsl")
@@ -252,8 +252,9 @@ def load_embeddings(path):
     """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
 
     Any header but `k <dim> variant <f|fs|fsl>` on line 1 (the older `k <dim>`
-    too: no variant is assumed), a malformed or non-numeric row, or a name
-    repeated in the R or E rows raises ParseError with the line number.
+    too: no variant is assumed), a malformed or non-numeric row, a name
+    repeated in the R or E rows, or an R row named by one of the
+    `data.RESERVED_RELATIONS` raises ParseError with the line number.
     """
     rows = {"R": [], "E": []}
     names = {"R": {}, "E": {}}  # name -> line number, in file order
@@ -271,6 +272,9 @@ def load_embeddings(path):
         if len(parts) != k + 2 or parts[0] not in rows:
             raise ParseError(f"{path}:{lineno}: malformed embedding line")
         tag, name = parts[0], parts[1]
+        if tag == "R" and name in RESERVED_RELATIONS:
+            raise ParseError(f"{path}:{lineno}: relation name {name!r} is reserved "
+                             "for a report's summary row")
         if name in names[tag]:
             raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
                              f"(first on line {names[tag][name]})")

@@ -214,14 +214,15 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
 @dataclass
 class TrainResult:
     params: ModelParams
-    adam: AdamState
     stats: list[EpochStats]
 
 
 def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
           callbacks=None, cold_relations=()) -> TrainResult:
-    """Train the selected variant on `store`; returns params, ADAM state, stats.
+    """Train the selected variant on `store`; returns the params and epoch stats.
 
+    The ADAM moments are as large as the params and are freed when the call
+    returns, so the params are the only |T| x k arrays a result holds.
     Rules are only used by variant FSL (their lifted losses enter every
     batch). The `cold_relations` ids start from `model.COLD_RANGE` (see
     `model.init_params`). Deterministic given (seed, options, inputs).
@@ -299,5 +300,5 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
         if callbacks:
             for cb in callbacks:
                 cb(epoch_stats)
-    return TrainResult(params=params, adam=state, stats=stats)
+    return TrainResult(params=params, stats=stats)
 

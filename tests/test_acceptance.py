@@ -359,9 +359,8 @@ def test_criterion_11_evaluation_memory_is_one_score_block():
     With one block, the effective-tuple matrix E (|T| x k) is never built:
     its chunks of `evaluation.CHUNK` values are scored as they are computed.
     With more blocks, the chunks are kept for the later blocks, so E exists
-    once. The slack is the NaN check's boolean mask over the block, one
-    chunk, and four |T|-long float64 temporaries of the AP (the pool's
-    scores and their sorted copy among them).
+    once. The slack is one chunk and four |T|-long float64 temporaries of
+    the AP (the pool's scores and their sorted copy among them).
     """
     n_tuples, k = 20_000, 50
     effective = 8 * n_tuples * k
@@ -369,9 +368,29 @@ def test_criterion_11_evaluation_memory_is_one_score_block():
     for n_relations in (8, 200):
         peak = _evaluation_peak(n_relations, n_tuples, k)
         block = 8 * n_tuples * min(n_relations, evaluation.BLOCK)
-        slack = block // 8 + 8 * (evaluation.CHUNK + 4 * n_tuples)
+        slack = 8 * (evaluation.CHUNK + 4 * n_tuples)
         bound = block + slack + (effective if n_relations > evaluation.BLOCK else 0)
         ok &= peak <= bound
         details.append(f"{n_relations} relations: {peak / 1e6:.2f} MB (bound {bound / 1e6:.2f})")
     report("criterion 11 (evaluation memory is one score block)", ok,
            f"peak above inputs at |T|={n_tuples}, k={k}: " + "; ".join(details))
+
+
+def test_criterion_12_trained_model_holds_its_parameters_only():
+    """What `train` leaves allocated is its parameters: the ADAM moments,
+    each as large as the parameters, end with the call."""
+    store = random_corpus(500, 200_000, 20_000, seed=20)
+    store.key_set  # the sampler caches it on the store: built before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = train(store, [], ModelConfig(k=20, variant="fs"),
+                       TrainOptions(epochs=1, batch_size=8192, seed=1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    params = result.params.relations.nbytes + result.params.tuple_pre.nbytes
+    bound = params + 1_000_000
+    report("criterion 12 (a trained model holds its parameters only)", held <= bound,
+           f"{held / 1e6:.2f} MB held after train ({held / params:.3f}x the "
+           f"{params / 1e6:.2f} MB of params; bound {bound / 1e6:.2f} MB)")

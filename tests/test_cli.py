@@ -285,6 +285,25 @@ class TestEvalCommand:
                      "--test", str(corpus_files["test"]), "--out", str(tmp_path / "e.csv")]) == 2
         assert "checkpoint.txt:3: duplicate R name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("relation, tuple_name, code", [
+        ("WEIGHTED_MAP", "t", 2), ("r", "WEIGHTED_MAP", 0)], ids=["relation", "tuple"])
+    def test_reserved_name_in_checkpoint(self, tmp_path, capsys, relation, tuple_name, code):
+        # a hand-edited checkpoint: a relation named WEIGHTED_MAP would write a
+        # second summary row; a tuple of that name is ordinary
+        ckpt, test, out = tmp_path / "ckpt.txt", tmp_path / "test.tsv", tmp_path / "e.csv"
+        ckpt.write_text(f"k 2 variant fs\nR s 0.5 -0.5\nR {relation} 0.1 0.2\n"
+                        f"E {tuple_name} 1.0 -1.0\nE u -1.0 1.0\n", encoding="utf-8")
+        test.write_text(f"{relation}\t{tuple_name}\n", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(out)]) == code
+        if code:
+            assert f"{ckpt}:3: relation name 'WEIGHTED_MAP' is reserved" \
+                in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            rows = out.read_text(encoding="utf-8").splitlines()
+            assert [row.split(",")[0] for row in rows] == ["relation", "r", "WEIGHTED_MAP"]
+
     def test_test_fact_in_training_facts_is_data_error(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
         run_train(corpus_files, out, epochs=0)

@@ -357,6 +357,14 @@ class TestPersistence:
         assert (rel_names, tup_names) == (["x"], ["x"])
         assert loaded.relations[0, 0] == 0.5 and loaded.tuple_pre[0, 0] == 0.25
 
+    @pytest.mark.parametrize("name", ["WEIGHTED_MAP", "GRAND_MEAN"])
+    def test_reserved_relation_name_names_its_line(self, tmp_path, name):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(f"k 1 variant fs\nR a 0.1\n\nR {name} 0.2\nE t 0.3\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"ckpt.txt:4: relation name '{name}' is reserved"):
+            model.load_embeddings(path)
+
     @pytest.mark.parametrize("text, lineno", [
         ("k 1 variant fs\nR a 0.1\nR a 0.2\nE t 0.3\n", 3),
         ("k 1 variant fs\nR a 0.1\nE t 0.2\n\nE t 0.3\n", 5),
