@@ -7,9 +7,10 @@ File formats (stable CLI contracts), UTF-8 with LF or CRLF lines:
               tabs or spaces (`a=>b` is an error). A rule naming an unknown
               relation, and a self-implication, is skipped with a warning
               naming its line; a repeated rule is kept once.
-Rule, lexicon, decision and checkpoint files are read by `read_lines`, which
-skips blank and whitespace-only lines (counting them in line numbers); a
-fact file skips empty lines only, and a whitespace-only line is an error.
+Rule, lexicon and decision files are read by `read_lines`, which skips blank
+and whitespace-only lines (counting them in line numbers), as the checkpoint
+reader in `model` does; a fact file skips empty lines only, and a
+whitespace-only line is an error.
 
 A fact file is read with one `read()` and split into name columns by
 str-level operations; the whole text is checked at once, and the lines are

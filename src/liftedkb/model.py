@@ -13,6 +13,8 @@ gradient checks in the test suite rely on that.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,14 +232,50 @@ def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,
     return ModelParams(relations, tuple_pre)
 
 
+def _names_fit(names: list, reserved=()) -> bool:
+    """Whether a checkpoint can hold `names` as one tag's names: none empty,
+    none holding whitespace or in `reserved`, none repeated."""
+    # with no empty name and no whitespace in one, the names joined by
+    # newlines split back into the names
+    return ("\n".join(names).split() == names and len(set(names)) == len(names)
+            and set(reserved).isdisjoint(names))
+
+
+def _check_names(kind: str, names, n_rows: int, reserved=()) -> None:
+    """ValueError unless `names` are `n_rows` names that `_names_fit`; the
+    names are walked only to name a bad one."""
+    names = list(names)
+    if len(names) != n_rows:
+        raise ValueError(f"{len(names)} {kind} names for {n_rows} rows")
+    if _names_fit(names, reserved):
+        return
+    seen = set()
+    for name in names:
+        if name.split() != [name]:
+            problem = "is empty or holds whitespace"
+        elif name in seen:
+            problem = "is repeated"
+        elif name in reserved:
+            problem = "is reserved for a report's summary row"
+        else:
+            seen.add(name)
+            continue
+        raise ValueError(f"{kind} name {name!r} {problem}")
+
+
 def save_embeddings(path, params: ModelParams, relation_names, tuple_names, variant) -> None:
     """Text persistence: `k <dim> variant <v>` header, `R|E <name> <reals>` lines.
 
     The header names the variant, which decides how tuples are scored (raw
     for F, sigmoid for FS/FSL). Tuple lines store pre-activations; 17
     significant digits make the round trip bit-exact for float64. Names
-    must not contain whitespace.
+    `load_embeddings` would reject raise ValueError before the file is
+    opened: an empty name, whitespace in a name, a name repeated among the
+    relations or among the tuples, a reserved relation name, or a name
+    count that differs from its matrix's row count.
     """
+    _check_names("relation", relation_names, len(params.relations), RESERVED_RELATIONS)
+    _check_names("tuple", tuple_names, len(params.tuple_pre))
     k = params.relations.shape[1]
     row_format = " ".join(["%.17g"] * k)
     with open(path, "w", encoding="utf-8") as fh:
@@ -248,28 +286,16 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names, vari
                 fh.write(f"{tag} {name} {row_format % tuple(row.tolist())}\n")
 
 
-def load_embeddings(path):
-    """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
-
-    Any header but `k <dim> variant <f|fs|fsl>` on line 1 (the older `k <dim>`
-    too: no variant is assumed), a malformed or non-numeric row, a name
-    repeated in the R or E rows, or an R row named by one of the
-    `data.RESERVED_RELATIONS` raises ParseError with the line number.
-    """
-    rows = {"R": [], "E": []}
+def _raise_bad_line(path, k: int, fallback: str):
+    """Raise a ParseError naming the first checkpoint row that fails a check,
+    walking the rows after the header one line at a time; with no row to
+    blame, `fallback` is the error. Never returns."""
     names = {"R": {}, "E": {}}  # name -> line number, in file order
     lines = read_lines(path)
-    lineno, header = next(lines, (1, ""))
-    header = header.split()
-    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
-            or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
-        raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
-                         " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
-                         " v the variant the model was trained with")
-    k, variant = int(header[1]), header[3]
+    next(lines)  # the header, checked already
     for lineno, line in lines:
         parts = line.split()
-        if len(parts) != k + 2 or parts[0] not in rows:
+        if len(parts) != k + 2 or parts[0] not in names:
             raise ParseError(f"{path}:{lineno}: malformed embedding line")
         tag, name = parts[0], parts[1]
         if tag == "R" and name in RESERVED_RELATIONS:
@@ -280,10 +306,63 @@ def load_embeddings(path):
                              f"(first on line {names[tag][name]})")
         names[tag][name] = lineno
         try:
-            rows[tag].append(np.array([float(v) for v in parts[2:]]))
+            for value in parts[2:]:
+                # numpy's parser rejects `1_0` and non-ASCII digits; float() does not
+                if not value.isascii() or "_" in value:
+                    raise ValueError(value)
+                float(value)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows["R"] or not rows["E"]:
-        raise ParseError(f"{path}: checkpoint has no relations or no tuples")
-    params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))
-    return params, list(names["R"]), list(names["E"]), variant
+    raise ParseError(f"{path}: {fallback}")
+
+
+def load_embeddings(path):
+    """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
+
+    Any header but `k <dim> variant <f|fs|fsl>` on line 1 (the older `k <dim>`
+    too: no variant is assumed), a malformed or non-numeric row, a name
+    repeated in the R or E rows, or an R row named by one of the
+    `data.RESERVED_RELATIONS` raises ParseError with the line number. Values
+    are ASCII decimals (`nan`, `inf` and out-of-range exponents included):
+    `1_0` and non-ASCII digits, which Python's `float()` would read, are
+    non-numeric.
+
+    After the header, one `np.loadtxt` call parses every row into tag, name
+    and k-value columns: numpy's tokenizer checks the field count, parses
+    the values and skips blank lines, CRLF line ends and runs of tabs or
+    spaces. The tag, reserved-name and duplicate checks run on the columns.
+    When the call or a check fails, the lines are walked one at a time only
+    to name the first bad one.
+    """
+    lineno, header = next(read_lines(path), (1, ""))
+    header = header.split()
+    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+            or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
+        raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
+                         " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
+                         " v the variant the model was trained with")
+    k, variant = int(header[1]), header[3]
+    no_rows = "checkpoint has no relations or no tuples"
+    # loadtxt would allocate rows of k values even where none fits in the file
+    if 2 * k > os.path.getsize(path):
+        _raise_bad_line(path, k, no_rows)
+    dtype = [("tag", object), ("name", object), ("values", np.float64, (k,))]
+    try:
+        with warnings.catch_warnings():  # a body of blank lines is `no_rows` below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=1, ndmin=1,
+                              encoding="utf-8")
+    except ValueError as exc:
+        _raise_bad_line(path, k, str(exc))
+    tags, names = rows["tag"], rows["name"]
+    is_relation = tags == "R"
+    relation_names, tuple_names = names[is_relation].tolist(), names[~is_relation].tolist()
+    if (not (is_relation | (tags == "E")).all()
+            or not _names_fit(relation_names, RESERVED_RELATIONS)
+            or not _names_fit(tuple_names)):
+        _raise_bad_line(path, k, "a row has a bad tag or a reserved or repeated name")
+    if not relation_names or not tuple_names:
+        raise ParseError(f"{path}: {no_rows}")
+    values = rows["values"]
+    params = ModelParams(values[is_relation], values[~is_relation])
+    return params, relation_names, tuple_names, variant

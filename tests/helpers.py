@@ -1,8 +1,8 @@
 """Shared test oracles and fixtures: the batch loss and its per-occurrence
 gradients, finite-difference gradients, the rule loss lifted to one hinge
 per dimension and grounded over explicit tuples, brute-force AP, the
-per-draw negative sampler, out-of-place ADAM, the per-line fact-file
-readers, and a pattern corpus for rule mining.
+per-draw negative sampler, out-of-place ADAM, the per-line fact-file and
+checkpoint readers, and a pattern corpus for rule mining.
 
 These stay independent of the code paths they check: `batch_loss` and
 `recon_l2_gradients_oracle` take the sigmoid once per pair occurrence, the
@@ -10,8 +10,8 @@ latter summing rows with `np.add.at`; the finite-difference oracle only
 evaluates `batch_loss`, `grounded_rule_loss` sums the hinge tuple by tuple,
 the AP oracle ranks by pairwise comparison instead of sorting, the sampler
 oracle draws one scalar per attempt, the ADAM oracle evaluates the textbook
-expressions with fresh temporaries, and the fact-file oracles parse, check
-and number one line at a time.
+expressions with fresh temporaries, and the fact-file and checkpoint
+oracles parse, check and number one line at a time.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from liftedkb import model
-from liftedkb.data import FactStore, Rule, Vocab
+from liftedkb.data import RESERVED_RELATIONS, FactStore, Rule, Vocab
 from liftedkb.errors import DataError, ParseError
 from liftedkb.model import (Batch, Gradients, LossBreakdown, ModelConfig, ModelParams,
                             effective_tuples, recon_pair_loss)
@@ -311,6 +311,45 @@ def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactS
                         + ", ".join(sorted(unknown)))
     return FactStore(relations, tuples,
                      [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])
+
+
+def load_embeddings_oracle(path):
+    """`model.load_embeddings` one line at a time, each value parsed by
+    Python's `float()`; it also reads `1_0` and non-ASCII digits, which the
+    checkpoint format rejects."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, line.rstrip("\n"))
+                 for lineno, line in enumerate(fh, start=1) if not line.isspace()]
+    lineno, header = lines[0] if lines else (1, "")
+    header = header.split()
+    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+            or int(header[1]) < 1 or header[2] != "variant" or header[3] not in model.VARIANTS):
+        raise ParseError(f"{path}:1: expected header `k <dim> variant <f|fs|fsl>`"
+                         " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
+                         " v the variant the model was trained with")
+    k, variant = int(header[1]), header[3]
+    rows = {"R": [], "E": []}
+    names = {"R": {}, "E": {}}  # name -> line number, in file order
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != k + 2 or parts[0] not in rows:
+            raise ParseError(f"{path}:{lineno}: malformed embedding line")
+        tag, name = parts[0], parts[1]
+        if tag == "R" and name in RESERVED_RELATIONS:
+            raise ParseError(f"{path}:{lineno}: relation name {name!r} is reserved "
+                             "for a report's summary row")
+        if name in names[tag]:
+            raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
+                             f"(first on line {names[tag][name]})")
+        names[tag][name] = lineno
+        try:
+            rows[tag].append(np.array([float(v) for v in parts[2:]]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+    if not rows["R"] or not rows["E"]:
+        raise ParseError(f"{path}: checkpoint has no relations or no tuples")
+    params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))
+    return params, list(names["R"]), list(names["E"]), variant
 
 
 @dataclass

@@ -285,6 +285,28 @@ class TestEvalCommand:
                      "--test", str(corpus_files["test"]), "--out", str(tmp_path / "e.csv")]) == 2
         assert "checkpoint.txt:3: duplicate R name" in capsys.readouterr().err
 
+    def test_reformatted_checkpoint_evaluates_the_same(self, corpus_files, tmp_path, capsys):
+        # CRLF line ends, tab separators and a blank line read as the
+        # writer's layout; a value `float()` would read as 10 is exit 2
+        out = tmp_path / "run"
+        run_train(corpus_files, out, epochs=2)
+        lines = (out / "checkpoint.txt").read_text(encoding="utf-8").splitlines()
+
+        def evaluate(name, text):
+            (tmp_path / f"{name}.txt").write_bytes(text.encode("utf-8"))
+            return main(["eval", "--checkpoint", str(tmp_path / f"{name}.txt"),
+                         "--test", str(corpus_files["test"]),
+                         "--out", str(tmp_path / f"{name}.csv")])
+
+        assert evaluate("original", "\n".join(lines) + "\n") == 0
+        tabbed = [lines[0], "", *(line.replace(" ", "\t") for line in lines[1:])]
+        assert evaluate("reformatted", "\r\n".join(tabbed) + "\r\n") == 0
+        assert ((tmp_path / "reformatted.csv").read_bytes()
+                == (tmp_path / "original.csv").read_bytes())
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " 1_0"
+        assert evaluate("underscore", "\n".join(lines) + "\n") == 2
+        assert "underscore.txt:2: non-numeric value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("relation, tuple_name, code", [
         ("WEIGHTED_MAP", "t", 2), ("r", "WEIGHTED_MAP", 0)], ids=["relation", "tuple"])
     def test_reserved_name_in_checkpoint(self, tmp_path, capsys, relation, tuple_name, code):

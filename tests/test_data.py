@@ -1,10 +1,11 @@
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import load_facts_oracle, load_facts_with_vocab_oracle
+from helpers import load_embeddings_oracle, load_facts_oracle, load_facts_with_vocab_oracle
 from liftedkb.data import (FactStore, Rule, Vocab, holdout_split, load_facts,
                            load_facts_with_vocab, load_rules, save_rules)
 from liftedkb.errors import DataError, ParseError
@@ -191,6 +192,73 @@ def outcome(loader, *args):
             store.facts.dtype, store.facts.tolist(), store.keys.tolist())
 
 
+# Checkpoint name characters: quotes, comment and rule markers, non-ASCII.
+CHECKPOINT_NAME_CHARS = list('ab01|_."#=>é中Ω')
+# Value spellings the writer emits, and others a hand edit may leave.
+CHECKPOINT_VALUES = ["0", "-0", "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308",
+                     "1.7976931348623157e308", "-1.7976931348623157e+308", "nan", "-nan", "inf",
+                     "-inf", "1e400", "-1e-400", "Infinity", "+NaN", ".5", "5.", "1E5", "+0.25"]
+# Values Python's `float()` rejects too.
+NON_NUMERIC = ["abc", "1.2.3", "0x10", "nan(1)", "1e", "--1", "ε", "1,5"]
+# Lines both readers skip, and separators they both split on.
+BLANK_LINES = ["", "   ", "\t", "\x0c", " \t\x0c "]
+SEPARATORS = [" ", "\t", "   ", " \t "]
+
+
+def random_checkpoint(path, rng, n_bad=0):
+    """Write a random checkpoint: interleaved R and E rows with unusual
+    names and values, LF or CRLF, tab and multi-space separators, blank
+    lines, and `n_bad` corruptions: a wrong field count, a bad tag, a
+    reserved R name, a repeated name or a non-numeric value."""
+    k = int(rng.integers(1, 5))
+    rows = []
+    for tag, count in (("R", int(rng.integers(0, 5))), ("E", int(rng.integers(0, 8)))):
+        names = {"".join(rng.choice(CHECKPOINT_NAME_CHARS, size=int(rng.integers(1, 4))))
+                 for _ in range(count)}
+        rows += [[tag, name] for name in sorted(names)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for row in rows:
+        row += [str(rng.choice(CHECKPOINT_VALUES)) if rng.random() < 0.3
+                else "%.17g" % rng.normal(scale=10.0 ** rng.integers(-5, 6)) for _ in range(k)]
+    clean = list(rows)
+    for _ in range(n_bad):
+        row = list(clean[int(rng.integers(len(clean)))]) if clean else ["E", "t"] + ["1"] * k
+        fault = rng.integers(5)
+        if fault == 0:
+            row = row[:-1] if rng.random() < 0.5 else row + ["1"]
+        elif fault == 1:
+            row[0] = str(rng.choice(["X", "r", "RE", "e", "ER"]))
+        elif fault == 2:
+            row[:2] = ["R", str(rng.choice(["WEIGHTED_MAP", "GRAND_MEAN"]))]
+        elif fault == 4:
+            row[2 + int(rng.integers(k))] = str(rng.choice(NON_NUMERIC))
+        # fault 3 keeps the row's tag and name: a repeated name
+        rows.insert(int(rng.integers(len(rows) + 1)), row)
+    lines = [f"k {k} variant {rng.choice(['f', 'fs', 'fsl'])}"]
+    for row in rows:
+        for _ in range(int(rng.integers(0, 2)) if rng.random() < 0.2 else 0):
+            lines.append(str(rng.choice(BLANK_LINES)))
+        fields = [row[0]]
+        for field in row[1:]:
+            fields += [str(rng.choice(SEPARATORS)) if rng.random() < 0.3 else " ", field]
+        pad = " " if rng.random() < 0.1 else ""
+        lines.append(pad + "".join(fields) + pad)
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    end = newline if rng.random() < 0.8 else ""
+    path.write_bytes((newline.join(lines) + end).encode("utf-8"))
+
+
+def checkpoint_outcome(loader, path):
+    """What a checkpoint reader makes of a file: the names, the variant and
+    the two matrices' shapes, dtypes and bytes, or its error."""
+    try:
+        params, relations, tuples, variant = loader(path)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return (relations, tuples, variant,
+            *[(a.shape, a.dtype, a.tobytes()) for a in (params.relations, params.tuple_pre)])
+
+
 class TestLoadersMatchOracles:
     """The bulk loaders against the per-line ones in tests/helpers.py, on
     seeded random fact files, clean and corrupted."""
@@ -214,6 +282,22 @@ class TestLoadersMatchOracles:
                 len(names) // 2, len(names) + 3))].tolist()) for _ in range(2)]
             assert (outcome(load_facts_with_vocab, path, *vocabs)
                     == outcome(load_facts_with_vocab_oracle, path, *vocabs))
+
+    @pytest.mark.parametrize("n_bad", [0, 1, 2])
+    def test_load_embeddings(self, tmp_path, n_bad):
+        rng = np.random.default_rng(300 + n_bad)
+        path = tmp_path / "ckpt.txt"
+        seen = Counter()  # what the files came to: loaded, or the error's first word
+        for _ in range(150):
+            random_checkpoint(path, rng, n_bad)
+            expected = checkpoint_outcome(load_embeddings_oracle, path)
+            assert checkpoint_outcome(load_embeddings, path) == expected
+            seen[expected[1].split(": ")[1].split()[0] if expected[0] is ParseError
+                 else "loaded"] += 1
+        if n_bad:
+            assert {"malformed", "relation", "duplicate", "non-numeric"} <= set(seen)
+        else:  # the rest have no R or no E rows
+            assert seen["loaded"] >= 90, seen
 
 
 class TestFactStore:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from helpers import (away_from_hinge_kinks, batch_from_pairs, batch_loss, dense_gradients,
                      finite_difference_gradients, grounded_rule_loss, implication_pair_loss,
-                     lifted_rule_loss, random_instance, recon_l2_gradients_oracle,
-                     relative_gradient_error)
+                     lifted_rule_loss, load_embeddings_oracle, random_instance,
+                     recon_l2_gradients_oracle, relative_gradient_error)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import ParseError
@@ -395,6 +396,84 @@ class TestPersistence:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=where):
             model.load_embeddings(path)
+
+    @pytest.mark.parametrize("value, as_float", [
+        ("1_0", 10.0), ("\u0661\u0662", 12.0), ("\uff11\uff12", 12.0)],
+        ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_values_are_ascii_decimals(self, tmp_path, value, as_float):
+        # Python's float() reads these, as the per-line reader did; the
+        # checkpoint format does not, and the writer never emits them
+        path = tmp_path / "ckpt.txt"
+        path.write_text(f"k 2 variant fs\nR a 0.1 0.2\nE t 0.3 {value}\n", encoding="utf-8")
+        assert load_embeddings_oracle(path)[0].tuple_pre[0, 1] == as_float
+        with pytest.raises(ParseError) as info:
+            model.load_embeddings(path)
+        assert str(info.value) == f"{path}:3: non-numeric value"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\n \t\n\x0c\n", "\r\n\r\n"],
+                             ids=["header-only", "blank-line", "whitespace-lines", "crlf"])
+    def test_no_rows_is_one_error_and_no_warning(self, tmp_path, body):
+        path = tmp_path / "ckpt.txt"
+        path.write_bytes(("k 2 variant fs" + body).encode("utf-8"))
+        with pytest.raises(ParseError) as info:
+            model.load_embeddings(path)
+        assert str(info.value) == f"{path}: checkpoint has no relations or no tuples"
+
+    def test_dim_beyond_the_file_allocates_no_rows(self, tmp_path):
+        # a header typo must not make the reader allocate rows of k values:
+        # a row of k = 10**6 values takes 8 MB
+        path = tmp_path / "ckpt.txt"
+        path.write_text("k 1000000 variant fs\nR a 0.1\nE t 0.2\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                model.load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}:2: malformed embedding line"
+        assert peak < 1 << 20
+
+    def test_parse_failure_with_no_line_to_blame_keeps_numpy_message(self, tmp_path,
+                                                                      monkeypatch):
+        path = tmp_path / "ckpt.txt"
+        path.write_text("k 1 variant fs\nR a 0.1\nE t 0.2\n", encoding="utf-8")
+
+        def failing_loadtxt(*args, **kwargs):
+            raise ValueError("numpy says no")
+
+        monkeypatch.setattr(model.np, "loadtxt", failing_loadtxt)
+        with pytest.raises(ParseError) as info:
+            model.load_embeddings(path)
+        assert str(info.value) == f"{path}: numpy says no"
+
+    @pytest.mark.parametrize("relations, tuples, message", [
+        (["a b", "c"], ["t", "u"], "relation name 'a b' is empty or holds whitespace"),
+        (["", "c"], ["t", "u"], "relation name '' is empty or holds whitespace"),
+        (["a", "a"], ["t", "u"], "relation name 'a' is repeated"),
+        (["WEIGHTED_MAP", "c"], ["t", "u"], "relation name 'WEIGHTED_MAP' is reserved"),
+        (["GRAND_MEAN", "c"], ["t", "u"], "relation name 'GRAND_MEAN' is reserved"),
+        (["a", "c"], ["t\tu", "v"], "tuple name 't\\tu' is empty or holds whitespace"),
+        (["a", "c"], ["t", "t"], "tuple name 't' is repeated"),
+        (["a"], ["t", "u"], "1 relation names for 2 rows"),
+        (["a", "b", "c"], ["t", "u"], "3 relation names for 2 rows"),
+        (["a", "c"], ["t"], "1 tuple names for 2 rows"),
+    ], ids=["space", "empty", "repeated", "weighted-map", "grand-mean", "tuple-tab",
+            "tuple-repeated", "too-few", "too-many", "tuple-too-few"])
+    def test_save_rejects_names_it_could_not_read_back(self, tmp_path, relations, tuples,
+                                                       message):
+        path = tmp_path / "ckpt.txt"
+        p = ModelParams(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.save_embeddings(path, p, relations, tuples, "fs")
+        assert not path.exists()
+
+    def test_reserved_name_saves_as_a_tuple(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        p = ModelParams(np.zeros((1, 1)), np.zeros((1, 1)))
+        model.save_embeddings(path, p, ["x"], ["WEIGHTED_MAP"], "fs")
+        assert model.load_embeddings(path)[2] == ["WEIGHTED_MAP"]
 
     def test_header_without_variant_names_the_fix(self, tmp_path):
         path = tmp_path / "ckpt.txt"
