@@ -21,8 +21,8 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__, evaluation, mining, model, trainer
-from .data import (FactStore, load_facts, load_facts_with_vocab, load_rules,
-                   save_rules, Vocab)
+from .data import (RESERVED_RELATIONS, FactStore, load_facts, load_facts_with_vocab,
+                   load_rules, save_rules, Vocab)
 from .errors import DataError, NumericalError
 from .model import ModelConfig
 from .trainer import EpochStats, TrainOptions
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+WEIGHTED_MAP, GRAND_MEAN = RESERVED_RELATIONS  # the summary rows of eval, analyze asymmetry
 
 
 class UsageError(Exception):
@@ -155,7 +156,7 @@ def cmd_eval(args) -> int:
     wmap, rows = evaluation.weighted_map(tasks, params, args.variant)
     table = [[relations.name(row.relation), row.n_test, repr(row.average_precision)]
              for row in rows]
-    table.append(["WEIGHTED_MAP", sum(r.n_test for r in rows), repr(wmap)])
+    table.append([WEIGHTED_MAP, sum(r.n_test for r in rows), repr(wmap)])
     out = _write_report(args, "eval", {"checkpoint": args.checkpoint, "test": args.test,
                                        "train_facts": args.train_facts},
                         ["relation", "test_facts", "average_precision"], table)
@@ -186,7 +187,7 @@ def cmd_analyze_asymmetry(args) -> int:
     table = [[relations.name(row.rule.antecedent), relations.name(row.rule.consequent),
               repr(row.mean_forward), repr(row.mean_backward), row.n_forward, row.n_backward]
              for row in rows]
-    table.append(["GRAND_MEAN", "", repr(grand_fwd), repr(grand_bwd), "", ""])
+    table.append([GRAND_MEAN, "", repr(grand_fwd), repr(grand_bwd), "", ""])
     out = _write_report(args, "analyze asymmetry",
                         {"checkpoint": args.checkpoint, "rules": args.rules,
                          "train_facts": args.train_facts},
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank test facts; CSV columns: "
-                       "relation,test_facts,average_precision (+ WEIGHTED_MAP row)")
+                       f"relation,test_facts,average_precision (+ {WEIGHTED_MAP} row)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test fact file")
     p.add_argument("--train-facts", help="training facts, excluded from candidate pools")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = asub.add_parser("asymmetry", help="per-rule forward/backward mean scores; "
                         "CSV: antecedent,consequent,mean_forward,mean_backward,"
-                        "n_forward,n_backward (+ GRAND_MEAN row)")
+                        f"n_forward,n_backward (+ {GRAND_MEAN} row)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--train-facts", required=True)

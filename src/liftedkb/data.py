@@ -1,8 +1,14 @@
-"""Vocabularies, fact storage, rule files, and dataset splits.
+"""Vocabularies, fact storage, rule files, dataset splits, and the name rule.
+
+The name rule, for the relation and tuple names of fact files and
+checkpoints: a name is non-empty, holds no whitespace, is not repeated among
+its kind's vocabulary (fact lines repeat names freely), and is not one of the
+`RESERVED_RELATIONS` if it names a relation. `names_fit` is its bulk test;
+`name_problem` says what is wrong with one name.
 
 File formats (stable CLI contracts), UTF-8 with LF or CRLF lines:
   fact file:  `relation<TAB>tuple` per line; the tuple is an opaque token
-              (convention: `entityA|entityB`). Names hold no whitespace.
+              (convention: `entityA|entityB`).
   rule file:  `antecedent => consequent` per line, three tokens apart by
               tabs or spaces (`a=>b` is an error). A rule naming an unknown
               relation, and a self-implication, is skipped with a warning
@@ -13,14 +19,9 @@ reader in `model` does; a fact file skips empty lines only, and a
 whitespace-only line is an error.
 
 A fact file is read with one `read()` and split into name columns by
-str-level operations; the whole text is checked at once, and the lines are
-walked one by one only to name the first bad line in the error. Names
-become ids through one dict lookup each, into an int64 array.
-
-The relation names `WEIGHTED_MAP` and `GRAND_MEAN` are reserved: they name
-the summary rows of the `eval` and `analyze asymmetry` CSVs, where a relation
-of that name would write a row identical to the summary. `load_facts`
-rejects them with the line that holds one.
+str-level operations. The format is checked on the whole text, the name
+rule on the distinct names; only when a check fails are the lines walked,
+once, to name the first bad line, whatever its fault.
 
 A `Vocab` is immutable: built once from its names, never grown. A
 `FactStore` holds its facts once, as an (n, 2) int64 array, with a
@@ -42,8 +43,32 @@ from .errors import DataError, ParseError
 
 log = logging.getLogger(__name__)
 
-# relation names that would collide with a summary row of a report CSV
+# the names of the summary rows of the `eval` and `analyze asymmetry` CSVs,
+# where a relation of either name would write a row identical to the summary
 RESERVED_RELATIONS = ("WEIGHTED_MAP", "GRAND_MEAN")
+
+
+def names_fit(names: list[str], kind: str) -> bool:
+    """Whether `names`, all the `kind` ("relation" or "tuple") names of one
+    vocabulary, obey the name rule."""
+    # with no empty name and no whitespace in one, the names joined by
+    # newlines split back into the names
+    return ("\n".join(names).split() == names and len(set(names)) == len(names)
+            and (kind != "relation" or set(RESERVED_RELATIONS).isdisjoint(names)))
+
+
+def name_problem(name: str, kind: str, seen=()) -> str | None:
+    """What the name rule finds wrong with one `kind` name, or None; `seen`
+    holds the names of its kind before it, where a repeat is a fault."""
+    if name.split() != [name]:
+        problem = "holds whitespace" if name else "is empty"
+    elif name in seen:
+        problem = "is repeated"
+    elif kind == "relation" and name in RESERVED_RELATIONS:
+        problem = "is reserved for a report's summary row"
+    else:
+        return None
+    return f"{kind} name {name!r} {problem}"
 
 
 class Vocab:
@@ -171,13 +196,22 @@ def _numbered_lines(text: str):
     return ((lineno, line) for lineno, line in enumerate(text.split("\n"), start=1) if line)
 
 
+def _raise_bad_fact_line(path, text: str):
+    """Raise a ParseError naming the first line of a fact file's text that is
+    not `relation<TAB>tuple` or holds a name the name rule rejects."""
+    for lineno, line in _numbered_lines(text):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
+        problem = name_problem(fields[0], "relation") or name_problem(fields[1], "tuple")
+        if problem:
+            raise ParseError(f"{path}:{lineno}: {problem}")
+
+
 def _read_fact_names(path) -> tuple[str, list[str]]:
     """A fact file's text and its names in order: relation, tuple, relation,
-    tuple, ... over the non-blank lines.
-
-    Every non-blank line must hold exactly one tab and no empty name; the
-    first line that does not is an error that carries its line number.
-    """
+    tuple, ... over the non-blank lines. If a line holds other than one tab,
+    or an empty name, the first bad line of any kind is an error."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = list(filter(None, text.split("\n")))
@@ -185,43 +219,27 @@ def _read_fact_names(path) -> tuple[str, list[str]]:
         raise ParseError(f"{path}: no facts found")
     names = "\t".join(lines).split("\t")
     if set(map(str.count, lines, repeat("\t"))) != {1} or "" in names:
-        for lineno, line in _numbered_lines(text):
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
+        _raise_bad_fact_line(path, text)
     return text, names
 
 
 def load_facts(path) -> FactStore:
-    """Parse a fact file into a FactStore; errors carry the line number.
-
-    Names containing whitespace are rejected: the checkpoint format
-    separates fields by whitespace, so they could not be read back. So are
-    the `RESERVED_RELATIONS` as relation names.
-    """
+    """Parse a fact file into a FactStore. A line that breaks the format or
+    the name rule is an error that names the first such line."""
     text, names = _read_fact_names(path)
-    # with one tab per line, the text splits on whitespace into exactly the
-    # names unless a name holds whitespace
-    if text.split() != names:
-        for lineno, line in _numbered_lines(text):
-            for name in line.split("\t"):
-                if name.split() != [name]:
-                    raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
     store = FactStore.from_names(names[0::2], names[1::2])
-    if any(name in store.relations for name in RESERVED_RELATIONS):
-        for lineno, line in _numbered_lines(text):
-            relation = line.split("\t")[0]
-            if relation in RESERVED_RELATIONS:
-                raise ParseError(f"{path}:{lineno}: relation name {relation!r} is reserved "
-                                 "for a report's summary row")
+    if not (names_fit(store.relations.names, "relation")
+            and names_fit(store.tuples.names, "tuple")):
+        _raise_bad_fact_line(path, text)
     return store
 
 
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
     """Parse a fact file against fixed vocabularies (e.g. from a checkpoint).
 
-    Names absent from the vocabularies are an error; the message names the
-    first line that has one and lists them all.
+    A file that breaks the format is an error as in `load_facts`. Then names
+    absent from the vocabularies are an error; the message names the first
+    line that has one and lists them all.
     """
     text, names = _read_fact_names(path)
     relation_names, tuple_names = names[0::2], names[1::2]

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 
-from .data import RESERVED_RELATIONS, read_lines
+from .data import name_problem, names_fit, read_lines
 from .errors import ParseError
 
 VARIANTS = ("f", "fs", "fsl")
@@ -232,56 +232,38 @@ def init_params(config: ModelConfig, n_relations: int, n_tuples: int, seed: int,
     return ModelParams(relations, tuple_pre)
 
 
-def _names_fit(names: list, reserved=()) -> bool:
-    """Whether a checkpoint can hold `names` as one tag's names: none empty,
-    none holding whitespace or in `reserved`, none repeated."""
-    # with no empty name and no whitespace in one, the names joined by
-    # newlines split back into the names
-    return ("\n".join(names).split() == names and len(set(names)) == len(names)
-            and set(reserved).isdisjoint(names))
-
-
-def _check_names(kind: str, names, n_rows: int, reserved=()) -> None:
-    """ValueError unless `names` are `n_rows` names that `_names_fit`; the
-    names are walked only to name a bad one."""
-    names = list(names)
-    if len(names) != n_rows:
-        raise ValueError(f"{len(names)} {kind} names for {n_rows} rows")
-    if _names_fit(names, reserved):
-        return
-    seen = set()
-    for name in names:
-        if name.split() != [name]:
-            problem = "is empty or holds whitespace"
-        elif name in seen:
-            problem = "is repeated"
-        elif name in reserved:
-            problem = "is reserved for a report's summary row"
-        else:
-            seen.add(name)
-            continue
-        raise ValueError(f"{kind} name {name!r} {problem}")
-
-
 def save_embeddings(path, params: ModelParams, relation_names, tuple_names, variant) -> None:
     """Text persistence: `k <dim> variant <v>` header, `R|E <name> <reals>` lines.
 
     The header names the variant, which decides how tuples are scored (raw
     for F, sigmoid for FS/FSL). Tuple lines store pre-activations; 17
-    significant digits make the round trip bit-exact for float64. Names
-    `load_embeddings` would reject raise ValueError before the file is
-    opened: an empty name, whitespace in a name, a name repeated among the
-    relations or among the tuples, a reserved relation name, or a name
-    count that differs from its matrix's row count.
+    significant digits make the round trip bit-exact for float64. What
+    `load_embeddings` would reject raises ValueError before the file is
+    opened: a variant outside `VARIANTS`, matrices with no columns, a name
+    count that differs from its matrix's row count, or names that break
+    the name rule of `data`.
     """
-    _check_names("relation", relation_names, len(params.relations), RESERVED_RELATIONS)
-    _check_names("tuple", tuple_names, len(params.tuple_pre))
     k = params.relations.shape[1]
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    rows = (("R", "relation", list(relation_names), params.relations),
+            ("E", "tuple", list(tuple_names), params.tuple_pre))
+    for _, kind, names, matrix in rows:
+        if len(names) != len(matrix):
+            raise ValueError(f"{len(names)} {kind} names for {len(matrix)} rows")
+        if not names_fit(names, kind):
+            seen = set()
+            for name in names:
+                problem = name_problem(name, kind, seen)
+                if problem:
+                    raise ValueError(problem)
+                seen.add(name)
     row_format = " ".join(["%.17g"] * k)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"k {k} variant {variant}\n")
-        for tag, names, matrix in (("R", relation_names, params.relations),
-                                   ("E", tuple_names, params.tuple_pre)):
+        for tag, _, names, matrix in rows:
             for name, row in zip(names, matrix):
                 fh.write(f"{tag} {name} {row_format % tuple(row.tolist())}\n")
 
@@ -290,21 +272,18 @@ def _raise_bad_line(path, k: int, fallback: str):
     """Raise a ParseError naming the first checkpoint row that fails a check,
     walking the rows after the header one line at a time; with no row to
     blame, `fallback` is the error. Never returns."""
-    names = {"R": {}, "E": {}}  # name -> line number, in file order
+    seen = {"R": set(), "E": set()}  # the names of each tag's rows before this one
     lines = read_lines(path)
     next(lines)  # the header, checked already
     for lineno, line in lines:
         parts = line.split()
-        if len(parts) != k + 2 or parts[0] not in names:
+        if len(parts) != k + 2 or parts[0] not in seen:
             raise ParseError(f"{path}:{lineno}: malformed embedding line")
         tag, name = parts[0], parts[1]
-        if tag == "R" and name in RESERVED_RELATIONS:
-            raise ParseError(f"{path}:{lineno}: relation name {name!r} is reserved "
-                             "for a report's summary row")
-        if name in names[tag]:
-            raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
-                             f"(first on line {names[tag][name]})")
-        names[tag][name] = lineno
+        problem = name_problem(name, "relation" if tag == "R" else "tuple", seen[tag])
+        if problem:
+            raise ParseError(f"{path}:{lineno}: {problem}")
+        seen[tag].add(name)
         try:
             for value in parts[2:]:
                 # numpy's parser rejects `1_0` and non-ASCII digits; float() does not
@@ -319,24 +298,23 @@ def _raise_bad_line(path, k: int, fallback: str):
 def load_embeddings(path):
     """Inverse of save_embeddings; returns (params, relation_names, tuple_names, variant).
 
-    Any header but `k <dim> variant <f|fs|fsl>` on line 1 (the older `k <dim>`
-    too: no variant is assumed), a malformed or non-numeric row, a name
-    repeated in the R or E rows, or an R row named by one of the
-    `data.RESERVED_RELATIONS` raises ParseError with the line number. Values
-    are ASCII decimals (`nan`, `inf` and out-of-range exponents included):
-    `1_0` and non-ASCII digits, which Python's `float()` would read, are
-    non-numeric.
+    Any header but `k <dim> variant <f|fs|fsl>` on line 1, dim in ASCII
+    digits (the older `k <dim>` too: no variant is assumed), a malformed or
+    non-numeric row, or a name the name rule of `data` rejects raises
+    ParseError naming the first bad line, whatever its fault. Values are
+    ASCII decimals (`nan`, `inf` and out-of-range exponents included): `1_0`
+    and non-ASCII digits, which Python's `float()` reads, are non-numeric.
 
     After the header, one `np.loadtxt` call parses every row into tag, name
     and k-value columns: numpy's tokenizer checks the field count, parses
     the values and skips blank lines, CRLF line ends and runs of tabs or
-    spaces. The tag, reserved-name and duplicate checks run on the columns.
-    When the call or a check fails, the lines are walked one at a time only
-    to name the first bad one.
+    spaces. The tag check and the name rule's bulk test run on the columns;
+    the lines are walked one at a time only to name a bad one.
     """
     lineno, header = next(read_lines(path), (1, ""))
     header = header.split()
-    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+    if (lineno != 1 or len(header) != 4 or header[0] != "k"
+            or not (header[1].isascii() and header[1].isdecimal())
             or int(header[1]) < 1 or header[2] != "variant" or header[3] not in VARIANTS):
         raise ParseError(f"{path}:1: expected header `k <dim> variant <{'|'.join(VARIANTS)}>`"
                          " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
@@ -358,8 +336,8 @@ def load_embeddings(path):
     is_relation = tags == "R"
     relation_names, tuple_names = names[is_relation].tolist(), names[~is_relation].tolist()
     if (not (is_relation | (tags == "E")).all()
-            or not _names_fit(relation_names, RESERVED_RELATIONS)
-            or not _names_fit(tuple_names)):
+            or not names_fit(relation_names, "relation")
+            or not names_fit(tuple_names, "tuple")):
         _raise_bad_line(path, k, "a row has a bad tag or a reserved or repeated name")
     if not relation_names or not tuple_names:
         raise ParseError(f"{path}: {no_rows}")

@@ -267,9 +267,11 @@ def brute_force_average_precision(scores: dict, positives: set) -> float:
     return sum(precisions) / len(positives)
 
 
-def read_fact_lines(path) -> list[tuple[int, str, str]]:
-    """(line number, relation, tuple) for every non-blank line of a fact file."""
-    lines = []
+def read_fact_lines(path):
+    """A fact file one line at a time: (line number, relation, tuple) for each
+    well-formed non-blank line, and (line number, message, breaks the format)
+    for each line that breaks the format or the name rule, in file order."""
+    lines, faults = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -277,32 +279,42 @@ def read_fact_lines(path) -> list[tuple[int, str, str]]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ParseError(f"{path}:{lineno}: expected `relation<TAB>tuple`, got {line!r}")
-            lines.append((lineno, fields[0], fields[1]))
-    if not lines:
+                faults.append((lineno, f"expected `relation<TAB>tuple`, got {line!r}", True))
+                continue
+            lines.append((lineno, *fields))
+            for kind, name in zip(("relation", "tuple"), fields):
+                if any(char.isspace() for char in name):
+                    faults.append((lineno, f"{kind} name {name!r} holds whitespace", False))
+                    break
+                if kind == "relation" and name in RESERVED_RELATIONS:
+                    faults.append((lineno, f"relation name {name!r} is reserved for a "
+                                           "report's summary row", False))
+                    break
+    if not lines and not faults:
         raise ParseError(f"{path}: no facts found")
-    return lines
+    return lines, faults
 
 
 def load_facts_oracle(path) -> FactStore:
-    """`data.load_facts` one line at a time: ids in first-seen order, then
-    the first line with whitespace in a name is an error."""
-    lines = read_fact_lines(path)
+    """`data.load_facts` one line at a time: the first line that breaks the
+    format or the name rule is an error; otherwise ids in first-seen order."""
+    lines, faults = read_fact_lines(path)
+    if faults:
+        raise ParseError(f"{path}:{faults[0][0]}: {faults[0][1]}")
     relations: dict[str, int] = {}
     tuples: dict[str, int] = {}
     pairs = [(relations.setdefault(rel, len(relations)), tuples.setdefault(tup, len(tuples)))
              for _, rel, tup in lines]
-    bad = {name for name in [*relations, *tuples] if name.split() != [name]}
-    if bad:
-        lineno, rel, tup = next(line for line in lines if line[1] in bad or line[2] in bad)
-        name = rel if rel in bad else tup
-        raise ParseError(f"{path}:{lineno}: whitespace in name {name!r}")
     return FactStore(Vocab(relations), Vocab(tuples), pairs)
 
 
 def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactStore:
-    """`data.load_facts_with_vocab` one line at a time."""
-    lines = read_fact_lines(path)
+    """`data.load_facts_with_vocab` one line at a time: a file with a line that
+    breaks the format is an error at its first bad line of any kind, as in
+    `load_facts_oracle`; then names outside the vocabularies are."""
+    lines, faults = read_fact_lines(path)
+    if any(breaks_format for _, _, breaks_format in faults):
+        raise ParseError(f"{path}:{faults[0][0]}: {faults[0][1]}")
     unknown = ({rel for _, rel, _ in lines if rel not in relations}
                | {tup for _, _, tup in lines if tup not in tuples})
     if unknown:
@@ -316,32 +328,33 @@ def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactS
 def load_embeddings_oracle(path):
     """`model.load_embeddings` one line at a time, each value parsed by
     Python's `float()`; it also reads `1_0` and non-ASCII digits, which the
-    checkpoint format rejects."""
+    checkpoint format rejects, in values (not in the header's dim)."""
     with open(path, encoding="utf-8") as fh:
         lines = [(lineno, line.rstrip("\n"))
                  for lineno, line in enumerate(fh, start=1) if not line.isspace()]
     lineno, header = lines[0] if lines else (1, "")
     header = header.split()
-    if (lineno != 1 or len(header) != 4 or header[0] != "k" or not header[1].isdecimal()
+    if (lineno != 1 or len(header) != 4 or header[0] != "k"
+            or not all("0" <= char <= "9" for char in header[1])
             or int(header[1]) < 1 or header[2] != "variant" or header[3] not in model.VARIANTS):
         raise ParseError(f"{path}:1: expected header `k <dim> variant <f|fs|fsl>`"
                          " with dim >= 1; to a `k <dim>` header append ` variant <v>`,"
                          " v the variant the model was trained with")
     k, variant = int(header[1]), header[3]
     rows = {"R": [], "E": []}
-    names = {"R": {}, "E": {}}  # name -> line number, in file order
+    names = {"R": [], "E": []}  # in file order
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != k + 2 or parts[0] not in rows:
             raise ParseError(f"{path}:{lineno}: malformed embedding line")
         tag, name = parts[0], parts[1]
+        kind = "relation" if tag == "R" else "tuple"
+        if name in names[tag]:
+            raise ParseError(f"{path}:{lineno}: {kind} name {name!r} is repeated")
         if tag == "R" and name in RESERVED_RELATIONS:
             raise ParseError(f"{path}:{lineno}: relation name {name!r} is reserved "
                              "for a report's summary row")
-        if name in names[tag]:
-            raise ParseError(f"{path}:{lineno}: duplicate {tag} name {name!r} "
-                             f"(first on line {names[tag][name]})")
-        names[tag][name] = lineno
+        names[tag].append(name)
         try:
             rows[tag].append(np.array([float(v) for v in parts[2:]]))
         except ValueError:
@@ -349,7 +362,7 @@ def load_embeddings_oracle(path):
     if not rows["R"] or not rows["E"]:
         raise ParseError(f"{path}: checkpoint has no relations or no tuples")
     params = ModelParams(np.vstack(rows["R"]), np.vstack(rows["E"]))
-    return params, list(names["R"]), list(names["E"]), variant
+    return params, names["R"], names["E"], variant
 
 
 @dataclass

@@ -12,7 +12,7 @@ import pytest
 
 import liftedkb
 from liftedkb.cli import build_parser, entrypoint, main
-from liftedkb.data import holdout_split
+from liftedkb.data import RESERVED_RELATIONS, holdout_split
 from liftedkb.model import ModelConfig
 from liftedkb.synthetic import clustered_corpus
 from liftedkb.trainer import TrainOptions
@@ -162,7 +162,20 @@ class TestTrainCommand:
         args = ["train", "--facts", str(facts), "--out", str(tmp_path / "x"),
                 "--epochs", "1", "--k", "2"]
         assert main(args) == 2
-        assert "facts.tsv:2: whitespace in name 'born in'" in capsys.readouterr().err
+        assert "facts.tsv:2: relation name 'born in' holds whitespace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("r\ta|b\nWEIGHTED_MAP\tc|d\nborn in\tA|B\n", "relation name 'WEIGHTED_MAP' is reserved"),
+        ("r\ta|b\nborn in\tA|B\n\nnotab\n", "relation name 'born in' holds whitespace"),
+    ], ids=["reserved-before-whitespace", "whitespace-before-missing-tab"])
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path, capsys, text, message):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text(text, encoding="utf-8")
+        args = ["train", "--facts", str(facts), "--out", str(tmp_path / "x"),
+                "--epochs", "1", "--k", "2"]
+        assert main(args) == 2
+        assert f"facts.tsv:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_reserved_relation_name_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
@@ -283,7 +296,8 @@ class TestEvalCommand:
         (out / "checkpoint.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
                      "--test", str(corpus_files["test"]), "--out", str(tmp_path / "e.csv")]) == 2
-        assert "checkpoint.txt:3: duplicate R name" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint.txt:3: relation name '" in err and "' is repeated" in err
 
     def test_reformatted_checkpoint_evaluates_the_same(self, corpus_files, tmp_path, capsys):
         # CRLF line ends, tab separators and a blank line read as the
@@ -451,6 +465,20 @@ class TestAnalyzeCommand:
         for row in rows[1:-1]:
             assert 0.0 <= float(row[2]) <= 1.0
             assert 0.0 <= float(row[3]) <= 1.0
+
+    def test_summary_rows_name_the_reserved_relations(self, corpus_files, tmp_path):
+        # the loaders reject these names as relations, so no relation row can
+        # repeat a summary row's name
+        ckpt = self.trained(corpus_files, tmp_path)
+        reports = {"eval.csv": ["eval", "--test", str(corpus_files["test"])],
+                   "asym.csv": ["analyze", "asymmetry", "--rules", str(corpus_files["rules"]),
+                                "--train-facts", str(corpus_files["facts"])]}
+        last_rows = []
+        for name, argv in reports.items():
+            assert main(argv + ["--checkpoint", str(ckpt), "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / name, newline="") as fh:
+                last_rows.append(list(csv.reader(fh))[-1][0])
+        assert last_rows == list(RESERVED_RELATIONS)
 
     def test_asymmetry_scores_as_the_checkpoint_variant(self, corpus_files, tmp_path):
         ckpt = self.trained(corpus_files, tmp_path, variant="f")

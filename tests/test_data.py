@@ -44,18 +44,18 @@ class TestLoadFacts:
         with pytest.raises(ParseError):
             load_facts(path)
 
-    @pytest.mark.parametrize("text, lineno, name", [
-        ("r\ta|b\nborn in\tA|B\nborn in\tC|D\n", 2, "born in"),
-        ("r\ta|b\nr\tc|d\n\nq\tA B\n", 4, "A B"),
-        ("r\ta|b\nq\tA\u00a0B\n", 2, "A\u00a0B"),
-        ("r\ta|b\nq\t x\n", 2, " x"),
-        ("r\ta|b\nq\tx\u2028\n", 2, "x\u2028"),
-        ("r\tx\u000by\nq r\tx\n", 1, "x\u000by"),
+    @pytest.mark.parametrize("text, lineno, kind, name", [
+        ("r\ta|b\nborn in\tA|B\nborn in\tC|D\n", 2, "relation", "born in"),
+        ("r\ta|b\nr\tc|d\n\nq\tA B\n", 4, "tuple", "A B"),
+        ("r\ta|b\nq\tA\u00a0B\n", 2, "tuple", "A\u00a0B"),
+        ("r\ta|b\nq\t x\n", 2, "tuple", " x"),
+        ("r\ta|b\nq\tx\u2028\n", 2, "tuple", "x\u2028"),
+        ("r\tx\u000by\nq r\tx\n", 1, "tuple", "x\u000by"),
     ], ids=["relation-space", "tuple-space", "tuple-nbsp", "leading-space",
             "line-separator", "vertical-tab"])
-    def test_whitespace_in_name_reports_first_line(self, tmp_path, text, lineno, name):
+    def test_whitespace_in_name_reports_first_line(self, tmp_path, text, lineno, kind, name):
         path = write(tmp_path, "f.tsv", text)
-        message = f"f.tsv:{lineno}: whitespace in name {name!r}"
+        message = f"f.tsv:{lineno}: {kind} name {name!r} holds whitespace"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_facts(path)
 
@@ -64,6 +64,13 @@ class TestLoadFacts:
         # the name of a report's summary row; as a tuple it is an ordinary name
         path = write(tmp_path, "f.tsv", f"r\t{name}\n\nr\ta|b\r\n{name}\ta|b\n{name}\tc\n")
         message = f"f.tsv:4: relation name {name!r} is reserved for a report's summary row"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_facts(path)
+
+    def test_first_bad_line_whatever_its_fault(self, tmp_path):
+        # the reserved name on line 2 is named, not the space on line 3
+        path = write(tmp_path, "f.tsv", "r\ta\nWEIGHTED_MAP\tb\nr v\tc\n")
+        message = "f.tsv:2: relation name 'WEIGHTED_MAP' is reserved for a report's summary row"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_facts(path)
 
@@ -131,11 +138,13 @@ class TestFactFileErrors:
         ("r\ta\nq\n\nr\ta\tb\n", ":2: expected `relation<TAB>tuple`, got 'q'"),
         ("r\ta\n \n", ":2: expected `relation<TAB>tuple`, got ' '"),
         ("r\ta\r\n\r\nq b\r\n", ":3: expected `relation<TAB>tuple`, got 'q b'"),
-        ("r x\ta\nbad\n", ":2: expected `relation<TAB>tuple`, got 'bad'"),
+        ("r\ta\nbad\nr x\ta\n", ":2: expected `relation<TAB>tuple`, got 'bad'"),
+        ("r\ta\nr x\ta\n\nbad\n", ":2: relation name 'r x' holds whitespace"),
         ("", ": no facts found"),
         ("\n\n\r\n", ": no facts found"),
     ], ids=["after-blank-lines", "empty-tuple", "empty-relation", "three-fields",
             "missing-tab-before-extra-tab", "space-only", "crlf", "before-whitespace-check",
+            "whitespace-before-missing-tab",
             "empty-file", "blank-lines-only"])
     @pytest.mark.parametrize("loader", [load_facts, load_with_fixed_vocab])
     def test_parse_errors(self, tmp_path, loader, text, message):
@@ -157,9 +166,9 @@ class TestFactFileErrors:
 # random names per file, so that names repeat.
 NAME_CHARS = list("abxyz019|_.é中Ωß")
 # Lines that break a file: a missing or extra tab, an empty field, a name with
-# ASCII or Unicode whitespace.
+# ASCII or Unicode whitespace, a reserved relation name.
 BAD_LINES = ["nofield", "a\tb\tc", "\tb", "a\t", " ", "\t", "a b\tx", "a\tx\u00a0y",
-             "\u3000a\tx", "a\tx\x1c"]
+             "\u3000a\tx", "a\tx\x1c", "WEIGHTED_MAP\tx"]
 
 
 def random_fact_file(path, rng, n_bad=0):
@@ -287,15 +296,16 @@ class TestLoadersMatchOracles:
     def test_load_embeddings(self, tmp_path, n_bad):
         rng = np.random.default_rng(300 + n_bad)
         path = tmp_path / "ckpt.txt"
-        seen = Counter()  # what the files came to: loaded, or the error's first word
+        faults = ["malformed", "reserved", "repeated", "non-numeric"]
+        seen = Counter()  # what the files came to: loaded, or the error's fault
         for _ in range(150):
             random_checkpoint(path, rng, n_bad)
             expected = checkpoint_outcome(load_embeddings_oracle, path)
             assert checkpoint_outcome(load_embeddings, path) == expected
-            seen[expected[1].split(": ")[1].split()[0] if expected[0] is ParseError
-                 else "loaded"] += 1
+            message = expected[1].split(": ", 1)[1] if expected[0] is ParseError else ""
+            seen[next((fault for fault in faults if fault in message), message or "loaded")] += 1
         if n_bad:
-            assert {"malformed", "relation", "duplicate", "non-numeric"} <= set(seen)
+            assert set(faults) <= set(seen)
         else:  # the rest have no R or no E rows
             assert seen["loaded"] >= 90, seen
 

@@ -373,7 +373,7 @@ class TestPersistence:
     def test_duplicate_name_names_second_line(self, tmp_path, text, lineno):
         path = tmp_path / "ckpt.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"ckpt.txt:{lineno}: duplicate"):
+        with pytest.raises(ParseError, match=f"ckpt.txt:{lineno}: [a-z]+ name '[at]' is repeated"):
             model.load_embeddings(path)
 
     @pytest.mark.parametrize("text, where", [
@@ -385,12 +385,15 @@ class TestPersistence:
         ("k 1 variant fsx\nR a 0.1\nE t 0.2\n", ":1:"),
         ("k 1 fs\nR a 0.1\nE t 0.2\n", ":1:"),
         ("k 1 variant fs x\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k \u0661 variant fs\nR a 0.1\nE t 0.2\n", ":1:"),
+        ("k \uff12 variant fs\nR a 0.1 0.2\nE t 0.3 0.4\n", ":1:"),
         ("\nk 1 variant fs\nR a 0.1\nE t 0.2\n", ":1:"),
         (" \t\nk 1 variant fs\nR a 0.1\nE t 0.2\n", ":1:"),
         ("", ":1:"),
     ], ids=["non-numeric", "k-word", "k-zero", "k-missing", "variant-missing",
             "variant-unknown", "variant-keyword-missing", "trailing-field",
-            "blank-line-1", "whitespace-line-1", "empty-file"])
+            "k-arabic-indic", "k-fullwidth", "blank-line-1", "whitespace-line-1",
+            "empty-file"])
     def test_bad_value_or_header_is_parse_error(self, tmp_path, text, where):
         path = tmp_path / "ckpt.txt"
         path.write_text(text, encoding="utf-8")
@@ -449,12 +452,12 @@ class TestPersistence:
         assert str(info.value) == f"{path}: numpy says no"
 
     @pytest.mark.parametrize("relations, tuples, message", [
-        (["a b", "c"], ["t", "u"], "relation name 'a b' is empty or holds whitespace"),
-        (["", "c"], ["t", "u"], "relation name '' is empty or holds whitespace"),
+        (["a b", "c"], ["t", "u"], "relation name 'a b' holds whitespace"),
+        (["", "c"], ["t", "u"], "relation name '' is empty"),
         (["a", "a"], ["t", "u"], "relation name 'a' is repeated"),
         (["WEIGHTED_MAP", "c"], ["t", "u"], "relation name 'WEIGHTED_MAP' is reserved"),
         (["GRAND_MEAN", "c"], ["t", "u"], "relation name 'GRAND_MEAN' is reserved"),
-        (["a", "c"], ["t\tu", "v"], "tuple name 't\\tu' is empty or holds whitespace"),
+        (["a", "c"], ["t\tu", "v"], "tuple name 't\\tu' holds whitespace"),
         (["a", "c"], ["t", "t"], "tuple name 't' is repeated"),
         (["a"], ["t", "u"], "1 relation names for 2 rows"),
         (["a", "b", "c"], ["t", "u"], "3 relation names for 2 rows"),
@@ -467,6 +470,18 @@ class TestPersistence:
         p = ModelParams(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match=re.escape(message)):
             model.save_embeddings(path, p, relations, tuples, "fs")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("variant, k, message", [
+        ("xyz", 3, "variant must be one of ('f', 'fs', 'fsl'), got 'xyz'"),
+        ("fs", 0, "k must be >= 1, got 0"),
+    ], ids=["unknown-variant", "no-columns"])
+    def test_save_rejects_a_header_it_could_not_read_back(self, tmp_path, variant, k,
+                                                          message):
+        path = tmp_path / "ckpt.txt"
+        p = ModelParams(np.zeros((1, k)), np.zeros((1, k)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.save_embeddings(path, p, ["r"], ["t"], variant)
         assert not path.exists()
 
     def test_reserved_name_saves_as_a_tuple(self, tmp_path):
