@@ -152,8 +152,7 @@ def cmd_eval(args) -> int:
         train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
     else:
         train_store = FactStore(relations, tuples, [])
-    tasks = evaluation.build_tasks(train_store, test)
-    wmap, rows = evaluation.weighted_map(tasks, params, args.variant)
+    wmap, rows = evaluation.evaluate(params, train_store, test, args.variant)
     table = [[relations.name(row.relation), row.n_test, repr(row.average_precision)]
              for row in rows]
     table.append([WEIGHTED_MAP, sum(r.n_test for r in rows), repr(wmap)])

@@ -1,18 +1,17 @@
 """Ranking metrics, the zero-shot protocol, and the asymmetry analysis.
 
-Candidate pool per relation: the complement of its training row, i.e. every
-tuple not observed with that relation in training (test positives therefore
-included). The pool is ranked by score descending with ties broken by
-ascending tuple id, so identical scores always yield identical rankings.
+One `RankingTask` per relation with test facts; its candidate pool is the
+complement of its training row (every tuple not observed with the relation
+in training, test positives included). The pool is ranked by score
+descending, ties broken by ascending tuple id, so rankings are reproducible.
 
 `weighted_map` is the one ranking kernel. It scores `BLOCK` relations at a
-time into one reused |T| x `BLOCK` score block, filled chunk by chunk: each
-chunk of `CHUNK` values of the effective tuple embeddings (the sigmoid, for
-FS/FSL) is computed once per call and multiplied while it is in cache. The
-chunks are kept only when a later block needs them, so with one block the
-|T| x k effective-tuple matrix never exists. A positive's rank is 1, plus the
-number of pool scores strictly greater than its own (a sort and
-`searchsorted`), plus the number of pool ties with a smaller tuple id
+time into one reused |T| x `BLOCK` score block from one stream of chunks of
+`CHUNK` effective-tuple values (the sigmoid, for FS/FSL), each computed once
+per call: a generator with one block, so the |T| x k effective-tuple matrix
+never exists, and a list reused by every block otherwise. A positive's rank
+is 1, plus the number of pool scores strictly greater than its own (a sort
+and `searchsorted`), plus the number of pool ties with a smaller tuple id
 (counted only for positives whose score is tied).
 
 Scores equal the whole product `effective_tuples(params, variant) @
@@ -26,7 +25,6 @@ within that bit of each other.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +35,10 @@ from .data import FactStore, Rule
 from .errors import DataError
 from .model import ModelConfig, ModelParams
 
-log = logging.getLogger(__name__)
-
 # Relations scored per matrix product in `weighted_map`: enough for the
 # product to run at matrix-matrix speed, few enough that the one |T| x BLOCK
 # score block stays about the size of the |T| x k effective-tuple matrix,
-# which is kept (chunk by chunk) only when there is more than one block.
+# whose chunks are listed only when there is more than one block.
 BLOCK = 64
 # float64 values of effective tuple embeddings per chunk of `weighted_map`
 # (256 KB, which stays in cache): a chunk is max(CHUNK // k, 1) tuple rows.
@@ -125,11 +121,16 @@ def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
 
 
 def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
-    """One RankingTask per relation with test facts, pooled against train.
-
-    A test fact that is also a training fact could never be ranked; the first
-    one, in test order, is reported by name.
+    """One RankingTask per relation with test facts, in ascending id, pooled
+    against train, whose vocabularies (the same `Vocab`s or equal name lists)
+    the test store must share. A test fact that is also a training fact could
+    never be ranked; the first one, in test order, is reported by name.
     """
+    pairs = ((train.relations, test.relations), (train.tuples, test.tuples))
+    if not all(ours is theirs or ours.names == theirs.names for ours, theirs in pairs):
+        raise DataError(f"test facts name {len(test.relations)} relations and {len(test.tuples)} "
+                        f"tuples, training facts {len(train.relations)} and {len(train.tuples)}: "
+                        f"the stores must share their vocabularies")
     n_tuples = len(train.tuples)
     keys = test.facts[:, 0] * n_tuples + test.facts[:, 1]
     at = np.searchsorted(train.keys, keys)
@@ -139,40 +140,36 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
         r, t = test.facts[clash[0]].tolist()
         raise DataError(f"test fact is also a training fact: "
                         f"{train.relations.name(r)}\t{train.tuples.name(t)}")
-    tasks = []
-    for rid in range(len(train.relations)):
-        positives = test.tuples_of(rid)
-        if len(positives):
-            tasks.append(RankingTask(rid, set(positives.tolist()),
-                                     np.sort(train.tuples_of(rid)), n_tuples))
-    return tasks
+    return [RankingTask(rid, set(test.tuples_of(rid).tolist()),
+                        np.sort(train.tuples_of(rid)), n_tuples)
+            for rid in np.unique(test.facts[:, 0]).tolist()]
 
 
 def weighted_map(tasks, params: ModelParams, variant: str):
     """Weighted mean average precision plus the per-relation table.
 
     Weighted by each relation's test-fact count; order of tasks does not
-    affect the result beyond float summation of independent terms.
+    affect the result beyond float summation of independent terms. A task
+    with no positive scores 0.0; ValueError if no task holds one.
     """
     tasks = list(tasks)
     if not tasks:
         raise ValueError("no ranking tasks given")
+    if not any(task.positives for task in tasks):
+        raise ValueError("no ranking task holds a positive")
     n, k = params.tuple_pre.shape
     step = max(CHUNK // k, 1)
+    offsets = range(0, n, step)
+    chunks = (model.effective_tuples(params, variant, slice(lo, lo + step)) for lo in offsets)
+    if len(tasks) > BLOCK:  # later blocks reuse the chunks
+        chunks = list(chunks)
     buffer = np.empty(n * min(BLOCK, len(tasks)))
-    kept = []  # the effective-tuple chunks, for the blocks after the first
     rows = []
     for start in range(0, len(tasks), BLOCK):
         block = tasks[start:start + BLOCK]
         relations = params.relations[[task.relation for task in block]].T
         scores = buffer[:n * len(block)].reshape(n, len(block))
-        for i, lo in enumerate(range(0, n, step)):
-            if start:
-                chunk = kept[i]
-            else:
-                chunk = model.effective_tuples(params, variant, slice(lo, lo + step))
-                if len(tasks) > BLOCK:
-                    kept.append(chunk)
+        for lo, chunk in zip(offsets, chunks):
             np.matmul(chunk, relations, out=scores[lo:lo + step])
         if np.isnan(scores.max()):  # max propagates NaN and allocates no mask
             raise DataError("relation scores contain NaN: the model has non-finite parameters")

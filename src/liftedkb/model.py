@@ -201,8 +201,6 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
     round differently.
     """
     ant, cons = rule_idx
-    if len(ant) == 0:
-        return 0.0
     diff = params.relations[ant] - params.relations[cons] + config.delta
     active = diff > 0.0
     loss = float(np.where(active, diff, 0.0).sum())
@@ -239,15 +237,18 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names, vari
     for F, sigmoid for FS/FSL). Tuple lines store pre-activations; 17
     significant digits make the round trip bit-exact for float64. What
     `load_embeddings` would reject raises ValueError before the file is
-    opened: a variant outside `VARIANTS`, matrices with no columns, a name
-    count that differs from its matrix's row count, or names that break
-    the name rule of `data`.
+    opened: a variant outside `VARIANTS`, matrices with no columns or of
+    different widths, a name count that differs from its matrix's row count,
+    or names that break the name rule of `data`.
     """
     k = params.relations.shape[1]
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if params.tuple_pre.shape[1] != k:
+        raise ValueError(f"relations have {k} columns, tuple pre-activations "
+                         f"{params.tuple_pre.shape[1]}")
     rows = (("R", "relation", list(relation_names), params.relations),
             ("E", "tuple", list(tuple_names), params.tuple_pre))
     for _, kind, names, matrix in rows:

@@ -194,21 +194,22 @@ def _adam_update_block(name, theta, grad, m, v, rows, t, options):
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
-              options: TrainOptions):
+              options: TrainOptions) -> None:
     """Bias-corrected ADAM update on the touched parameter rows only.
 
     `grads` is row-compact (see `model.Gradients`): each block's buffer has
     one row per entry of its row array. Moments of untouched rows are not
-    decayed (lazy/sparse semantics), so an epoch costs O(nnz) regardless of
-    vocabulary sizes, and its work buffers are bounded by `ADAM_BLOCK`
-    values, not by the touched rows (see `_adam_update_block`).
+    decayed (lazy/sparse semantics), so an epoch's memory is O(nnz) whatever
+    the vocabulary sizes (criterion 10), and its work buffers are bounded by
+    `ADAM_BLOCK` values, not by the touched rows (see `_adam_update_block`).
+    Its time per touched row is not O(1): it grows with |T|, and no gate
+    bounds it.
     """
     state.step += 1
     _adam_update_block("relation embeddings", params.relations, grads.relations,
                        state.m_rel, state.v_rel, grads.relation_rows, state.step, options)
     _adam_update_block("tuple pre-activations", params.tuple_pre, grads.tuple_pre,
                        state.m_tup, state.v_tup, grads.tuple_rows, state.step, options)
-    return params, state
 
 
 @dataclass

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import brute_force_average_precision
 from liftedkb import evaluation, model, trainer
-from liftedkb.data import FactStore, Rule
+from liftedkb.data import FactStore, Rule, Vocab, holdout_split
 from liftedkb.errors import DataError
 from liftedkb.evaluation import (RankingTask, build_tasks, subsample_relation_facts,
                                  weighted_map, zero_shot_sweep)
@@ -126,6 +126,15 @@ class TestWeightedMap:
         params = ModelParams(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError):
             weighted_map([], params, "f")
+
+    def test_no_positive_in_any_task_errors_before_scoring(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scored tasks with no positive")
+
+        monkeypatch.setattr(model, "effective_tuples", unreachable)
+        params = ModelParams(np.ones((1, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="no ranking task holds a positive"):
+            weighted_map([task(0, set(), 2)], params, "f")
 
 
 class TestRankingKernel:
@@ -286,6 +295,22 @@ class TestBuildTasks:
                           (train.relations.id("r"), train.tuples.id("b"))])
         with pytest.raises(DataError, match="training fact: q\tc$"):
             build_tasks(train, test)
+
+    def test_test_store_must_share_the_training_vocabularies(self):
+        split = holdout_split(clustered_corpus(seed=0).store, 0.2, seed=0)
+        named = [(split.test.relations.name(r), split.test.tuples.name(t))
+                 for r, t in split.test.facts.tolist()]
+        own = FactStore.from_named_pairs(named)
+        sizes = (f"test facts name {len(own.relations)} relations and {len(own.tuples)} "
+                 f"tuples, training facts {len(split.train.relations)} and "
+                 f"{len(split.train.tuples)}")
+        with pytest.raises(DataError, match=sizes):
+            build_tasks(split.train, own)
+        # equal name lists in other Vocab objects are the same vocabularies
+        copied = FactStore(Vocab(split.train.relations.names), Vocab(split.train.tuples.names),
+                           split.test.facts)
+        assert [t.relation for t in build_tasks(split.train, copied)] == \
+            [t.relation for t in build_tasks(split.train, split.test)]
 
     def test_empty_training_store_has_no_clash(self):
         names = FactStore.from_named_pairs([("r", "a"), ("r", "b")])

@@ -472,14 +472,16 @@ class TestPersistence:
             model.save_embeddings(path, p, relations, tuples, "fs")
         assert not path.exists()
 
-    @pytest.mark.parametrize("variant, k, message", [
-        ("xyz", 3, "variant must be one of ('f', 'fs', 'fsl'), got 'xyz'"),
-        ("fs", 0, "k must be >= 1, got 0"),
-    ], ids=["unknown-variant", "no-columns"])
+    # (variant, relation columns, tuple columns, message)
+    @pytest.mark.parametrize("variant, k, k_tuples, message", [
+        ("xyz", 3, 3, "variant must be one of ('f', 'fs', 'fsl'), got 'xyz'"),
+        ("fs", 0, 0, "k must be >= 1, got 0"),
+        ("fs", 2, 3, "relations have 2 columns, tuple pre-activations 3"),
+    ], ids=["unknown-variant", "no-columns", "different-widths"])
     def test_save_rejects_a_header_it_could_not_read_back(self, tmp_path, variant, k,
-                                                          message):
+                                                          k_tuples, message):
         path = tmp_path / "ckpt.txt"
-        p = ModelParams(np.zeros((1, k)), np.zeros((1, k)))
+        p = ModelParams(np.zeros((1, k)), np.zeros((1, k_tuples)))
         with pytest.raises(ValueError, match=re.escape(message)):
             model.save_embeddings(path, p, ["r"], ["t"], variant)
         assert not path.exists()
