@@ -1,9 +1,11 @@
 """Command-line front end: train / eval / mine / analyze.
 
-All outputs are CSV (RFC 4180) or the text checkpoint format, plus a JSON
-run manifest recording resolved flags, the seed, and SHA-256 digests of
-every input file. Reruns with identical inputs and flags are byte-identical
-except for recorded wall-clock fields.
+Each `cmd_*` writes its outputs (CSV per RFC 4180, a rule file or the text
+checkpoint format) and returns their paths; `main` then writes the JSON run
+manifest: resolved flags, the SHA-256 of each `INPUT_FLAGS` file, outputs. A
+directory `--out` holds it as `manifest.json`, a file `--out` has it beside
+as `<out>.manifest.json`. Reruns with identical inputs and flags are
+byte-identical except for recorded wall-clock fields.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, or a path that is
 missing or names the wrong kind of file), 2 data error, 3 numerical abort.
@@ -20,6 +22,8 @@ import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, evaluation, mining, model, trainer
 from .data import (RESERVED_RELATIONS, FactStore, load_facts, load_facts_with_vocab,
                    load_rules, save_rules, Vocab)
@@ -32,6 +36,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 WEIGHTED_MAP, GRAND_MEAN = RESERVED_RELATIONS  # the summary rows of eval, analyze asymmetry
+# the flags that name files a command reads; the manifest digests each one given
+INPUT_FLAGS = ("facts", "rules", "checkpoint", "test", "train_facts", "lexicon", "decisions")
 
 
 class UsageError(Exception):
@@ -46,15 +52,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, command: str, args, inputs: dict, outputs: list):
-    """JSON run manifest: the resolved flags of `args`, input digests, outputs."""
-    flags = {k: (str(v) if isinstance(v, Path) else v)
-             for k, v in vars(args).items() if k != "func"}
+def _input_files(args) -> dict:
+    """{flag: path} for each of the `INPUT_FLAGS` that `args` gives, in that order."""
+    return {f: getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None) is not None}
+
+
+def write_manifest(path, args, outputs: list):
+    """JSON run manifest: the command, flags and input digests of `args`, and `outputs`."""
     manifest = {
         "engine_version": __version__,
-        "command": command,
-        "flags": flags,
-        "inputs": {str(p): _sha256(p) for p in inputs.values() if p is not None},
+        "command": " ".join(filter(None, (args.command, getattr(args, "mode", None)))),
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": {str(p): _sha256(p) for p in _input_files(args).values()},
         "outputs": [str(o) for o in outputs],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -67,15 +76,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_report(args, command: str, inputs: dict, header, rows) -> Path:
-    """Write a CSV report to `--out` and its manifest to `<out>.manifest.json`."""
-    out = Path(args.out)
-    _write_csv(out, header, rows)
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), command, args,
-                   inputs, [out])
-    return out
 
 
 def _add_model_flags(parser):
@@ -103,7 +103,7 @@ def _config_and_options(args) -> tuple[ModelConfig, TrainOptions]:
         raise UsageError(exc) from None
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list[Path]:
     config, options = _config_and_options(args)
     if args.variant == "fsl" and args.rules is None:
         raise UsageError("--rules is required with --variant fsl")
@@ -127,12 +127,10 @@ def cmd_train(args) -> int:
              for v in astuple(st) for x in (v if isinstance(v, tuple) else [v])]
             for st in result.stats]
     _write_csv(metrics, header, rows)
-    write_manifest(outdir / "manifest.json", "train", args,
-                   {"facts": args.facts, "rules": args.rules}, [checkpoint, metrics])
     print(f"trained {options.epochs} epochs on {len(store)} facts "
           f"({len(store.relations)} relations, {len(store.tuples)} tuples); "
           f"checkpoint at {checkpoint}")
-    return EXIT_OK
+    return [checkpoint, metrics]
 
 
 def _load_checkpoint(args):
@@ -145,7 +143,7 @@ def _load_checkpoint(args):
     return params, Vocab(rel_names), Vocab(tup_names)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[Path]:
     params, relations, tuples = _load_checkpoint(args)
     test = load_facts_with_vocab(args.test, relations, tuples)
     if args.train_facts:
@@ -156,28 +154,24 @@ def cmd_eval(args) -> int:
     table = [[relations.name(row.relation), row.n_test, repr(row.average_precision)]
              for row in rows]
     table.append([WEIGHTED_MAP, sum(r.n_test for r in rows), repr(wmap)])
-    out = _write_report(args, "eval", {"checkpoint": args.checkpoint, "test": args.test,
-                                       "train_facts": args.train_facts},
-                        ["relation", "test_facts", "average_precision"], table)
+    out = Path(args.out)
+    _write_csv(out, ["relation", "test_facts", "average_precision"], table)
     print(f"weighted MAP {wmap:.4f} over {len(rows)} relations -> {out}")
-    return EXIT_OK
+    return [out]
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> list[Path]:
     store = load_facts(args.facts)
     mined = mining.mine_rules(store.relations, mining.load_lexicon(args.lexicon))
     rules = (mining.filter_rules(mined, args.decisions, store.relations)
              if args.decisions else mined)
     out = Path(args.out)
     save_rules(out, rules, store.relations)
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "mine", args,
-                   {"facts": args.facts, "lexicon": args.lexicon,
-                    "decisions": args.decisions}, [out])
     print(f"mined {len(mined)} candidate rules, wrote {len(rules)} -> {out}")
-    return EXIT_OK
+    return [out]
 
 
-def cmd_analyze_asymmetry(args) -> int:
+def cmd_analyze_asymmetry(args) -> list[Path]:
     params, relations, tuples = _load_checkpoint(args)
     train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
     rules, _ = load_rules(args.rules, relations)
@@ -187,17 +181,14 @@ def cmd_analyze_asymmetry(args) -> int:
               repr(row.mean_forward), repr(row.mean_backward), row.n_forward, row.n_backward]
              for row in rows]
     table.append([GRAND_MEAN, "", repr(grand_fwd), repr(grand_bwd), "", ""])
-    out = _write_report(args, "analyze asymmetry",
-                        {"checkpoint": args.checkpoint, "rules": args.rules,
-                         "train_facts": args.train_facts},
-                        ["antecedent", "consequent", "mean_forward", "mean_backward",
-                         "n_forward", "n_backward"], table)
+    out = Path(args.out)
+    _write_csv(out, ["antecedent", "consequent", "mean_forward", "mean_backward",
+                     "n_forward", "n_backward"], table)
     print(f"asymmetry report for {len(rows)} rules -> {out}")
-    return EXIT_OK
+    return [out]
 
 
-def cmd_analyze_matrix(args) -> int:
-    import numpy as np
+def cmd_analyze_matrix(args) -> list[Path]:
     params, relations, _tuples = _load_checkpoint(args)
     rules, _ = load_rules(args.rules, relations)
     involved = sorted({i for r in rules for i in (r.antecedent, r.consequent)})
@@ -208,14 +199,13 @@ def cmd_analyze_matrix(args) -> int:
     columns = [involved[j] for j in order]
     table = [[dim] + [repr(float(params.relations[c, dim])) for c in columns]
              for dim in range(params.relations.shape[1])]
-    out = _write_report(args, "analyze matrix",
-                        {"checkpoint": args.checkpoint, "rules": args.rules},
-                        ["dimension"] + [relations.name(c) for c in columns], table)
+    out = Path(args.out)
+    _write_csv(out, ["dimension"] + [relations.name(c) for c in columns], table)
     print(f"relation matrix with {len(columns)} columns -> {out}")
-    return EXIT_OK
+    return [out]
 
 
-def cmd_analyze_zero_shot(args) -> int:
+def cmd_analyze_zero_shot(args) -> list[Path]:
     config, options = _config_and_options(args)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
@@ -230,11 +220,10 @@ def cmd_analyze_zero_shot(args) -> int:
     points = evaluation.zero_shot_sweep(store, test, rules, {r.consequent for r in rules},
                                         fractions, config, options)
     table = [[repr(fraction), repr(wmap)] for fraction, wmap in points]
-    out = _write_report(args, "analyze zero-shot",
-                        {"facts": args.facts, "test": args.test, "rules": args.rules},
-                        ["fraction", "weighted_map"], table)
+    out = Path(args.out)
+    _write_csv(out, ["fraction", "weighted_map"], table)
     print(f"zero-shot curve with {len(points)} points -> {out}")
-    return EXIT_OK
+    return [out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,8 +298,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    out = Path(args.out)
     try:
-        return args.func(args)
+        for flag, path in _input_files(args).items():
+            if Path(path).resolve() == out.resolve():
+                raise FileExistsError(f"--out {args.out} would overwrite the "
+                                      f"--{flag.replace('_', '-')} file {path}")
+        outputs = args.func(args)
+        write_manifest(out / "manifest.json" if out.is_dir()
+                       else out.with_name(out.name + ".manifest.json"), args, outputs)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -186,6 +186,8 @@ class FactStore:
         return FactStore(self.relations, self.tuples, self.facts[keep])
 
     def save(self, path) -> None:
+        """Write the facts as a fact file, which names only their relations and
+        tuples: a `holdout_split` train file lacks the tuples only test facts name."""
         relations, tuples = self.relations.names, self.tuples.names
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{relations[r]}\t{tuples[t]}\n" for r, t in self.facts.tolist())

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -627,3 +628,89 @@ class TestExitCodes:
         missing = run("train", "--facts", "missing.tsv", "--out", "run", "--epochs", "1")
         assert missing.returncode == 1
         assert "missing.tsv" in missing.stderr and not (tmp_path / "run").exists()
+
+
+@pytest.fixture()
+def workdir(corpus_files, monkeypatch):
+    """`corpus_files`' directory as the working directory, with mining inputs
+    and an FSL checkpoint at run/checkpoint.txt, so commands take relative paths."""
+    monkeypatch.chdir(corpus_files["dir"])
+    Path("patterns.tsv").write_text("appos->diplomat->amod\ta|b\nappos->official->amod\ta|b\n",
+                                    encoding="utf-8")
+    Path("lexicon.tsv").write_text("diplomat\tofficial\n", encoding="utf-8")
+    Path("decisions.tsv").write_text("accept\tappos->diplomat->amod => appos->official->amod\n",
+                                     encoding="utf-8")
+    assert main(["train", "--facts", "train.tsv", "--rules", "rules.tsv", "--variant", "fsl",
+                 "--epochs", "0", "--k", "4", "--out", "run"]) == 0
+    return corpus_files["dir"]
+
+
+def _manifests(directory):
+    return {str(p.relative_to(directory)) for p in directory.rglob("*manifest.json")}
+
+
+CKPT = ["--checkpoint", "run/checkpoint.txt"]
+MINE = ["mine", "--facts", "patterns.tsv", "--lexicon", "lexicon.tsv"]
+MANIFEST_CASES = {
+    # id: (argv, manifest path, command, input files, outputs)
+    "train": (["train", "--facts", "train.tsv", "--rules", "rules.tsv", "--variant", "fsl",
+               "--epochs", "1", "--k", "4", "--out", "run2"], "run2/manifest.json", "train",
+              ["train.tsv", "rules.tsv"], ["run2/checkpoint.txt", "run2/metrics.csv"]),
+    "eval": (["eval", *CKPT, "--test", "test.tsv", "--out", "eval.csv"],
+             "eval.csv.manifest.json", "eval", ["run/checkpoint.txt", "test.tsv"],
+             ["eval.csv"]),
+    "eval-train-facts": (["eval", *CKPT, "--test", "test.tsv", "--train-facts", "train.tsv",
+                          "--out", "eval.csv"], "eval.csv.manifest.json", "eval",
+                         ["run/checkpoint.txt", "test.tsv", "train.tsv"], ["eval.csv"]),
+    "mine": ([*MINE, "--out", "mined.tsv"], "mined.tsv.manifest.json", "mine",
+             ["patterns.tsv", "lexicon.tsv"], ["mined.tsv"]),
+    "mine-decisions": ([*MINE, "--decisions", "decisions.tsv", "--out", "mined.tsv"],
+                       "mined.tsv.manifest.json", "mine",
+                       ["patterns.tsv", "lexicon.tsv", "decisions.tsv"], ["mined.tsv"]),
+    "asymmetry": (["analyze", "asymmetry", *CKPT, "--rules", "rules.tsv",
+                   "--train-facts", "train.tsv", "--out", "asym.csv"],
+                  "asym.csv.manifest.json", "analyze asymmetry",
+                  ["run/checkpoint.txt", "rules.tsv", "train.tsv"], ["asym.csv"]),
+    "matrix-dot-slash": (["analyze", "matrix", *CKPT, "--rules", "rules.tsv",
+                          "--out", "./matrix.csv"], "matrix.csv.manifest.json",
+                         "analyze matrix", ["run/checkpoint.txt", "rules.tsv"],
+                         ["matrix.csv"]),
+    "zero-shot": (["analyze", "zero-shot", "--facts", "train.tsv", "--test", "test.tsv",
+                   "--rules", "rules.tsv", "--fractions", "0,1", "--epochs", "1", "--k", "4",
+                   "--out", "zs.csv"], "zs.csv.manifest.json", "analyze zero-shot",
+                  ["train.tsv", "test.tsv", "rules.tsv"], ["zs.csv"]),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv, manifest, command, inputs, outputs",
+                             MANIFEST_CASES.values(), ids=MANIFEST_CASES.keys())
+    def test_every_command_records_its_run(self, workdir, argv, manifest, command, inputs,
+                                           outputs):
+        before = _manifests(workdir)
+        assert main(argv) == 0
+        assert _manifests(workdir) - before == {manifest}
+        record = json.loads((workdir / manifest).read_text(encoding="utf-8"))
+        assert record["command"] == command
+        assert record["inputs"] == {path: hashlib.sha256((workdir / path).read_bytes())
+                                    .hexdigest() for path in inputs}
+        assert record["outputs"] == outputs
+        assert all((workdir / path).is_file() for path in outputs)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", *CKPT, "--test", "test.tsv", "--out", "./test.tsv"], "--test"),
+        (["eval", *CKPT, "--test", "test.tsv", "--out", "run/checkpoint.txt"], "--checkpoint"),
+        ([*MINE, "--out", "lexicon.tsv"], "--lexicon"),
+        ([*MINE, "--decisions", "decisions.tsv", "--out", "{dir}/decisions.tsv"], "--decisions"),
+    ], ids=["eval-test", "eval-checkpoint", "mine-lexicon", "mine-decisions-absolute"])
+    def test_out_that_is_an_input_is_usage_error(self, workdir, capsys, argv, flag):
+        argv = [arg.format(dir=workdir) for arg in argv]
+        target = workdir / argv[-1]
+        before, manifests = target.read_bytes(), _manifests(workdir)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out ")
+        assert f"would overwrite the {flag} file" in err[0]
+        assert target.read_bytes() == before
+        assert _manifests(workdir) == manifests
