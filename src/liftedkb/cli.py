@@ -1,14 +1,17 @@
 """Command-line front end: train / eval / mine / analyze.
 
-Each `cmd_*` writes its outputs (CSV per RFC 4180, a rule file or the text
-checkpoint format) and returns their paths; `main` then writes the JSON run
-manifest: resolved flags, the SHA-256 of each `INPUT_FLAGS` file, outputs. A
-directory `--out` holds it as `manifest.json`, a file `--out` has it beside
-as `<out>.manifest.json`. Reruns with identical inputs and flags are
-byte-identical except for recorded wall-clock fields.
+`_written_files` names each file a run writes, from the parsed flags:
+`checkpoint.txt`, `metrics.csv` and `manifest.json` under a `train --out`
+directory, else `--out` itself and `<out>.manifest.json` beside it. Before
+anything is read, `main` checks `--out` and these files against the
+`INPUT_FLAGS` files. The `cmd_*` writes the outputs (CSV per RFC 4180, a rule
+file or the text checkpoint format), then `main` writes the JSON run manifest:
+resolved flags, the SHA-256 of each input file, outputs. Reruns with identical
+inputs and flags are byte-identical except for recorded wall-clock fields.
 
-Exit codes: 0 success, 1 usage error (a bad flag value, or a path that is
-missing or names the wrong kind of file), 2 data error, 3 numerical abort.
+Exit codes: 0 success, 1 usage error (a bad flag value, a path that is
+missing or names the wrong kind of file, or a file the run would write that is
+an input), 2 data error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ def _input_files(args) -> dict:
     return {f: getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None) is not None}
 
 
+def _written_files(args) -> list[Path]:
+    """The files a run writes: its outputs, in `cmd_*` argument order, then its manifest."""
+    out = Path(args.out)
+    if args.command == "train":
+        return [out / "checkpoint.txt", out / "metrics.csv", out / "manifest.json"]
+    return [out, out.with_name(out.name + ".manifest.json")]
+
+
 def write_manifest(path, args, outputs: list):
     """JSON run manifest: the command, flags and input digests of `args`, and `outputs`."""
     manifest = {
@@ -103,7 +114,7 @@ def _config_and_options(args) -> tuple[ModelConfig, TrainOptions]:
         raise UsageError(exc) from None
 
 
-def cmd_train(args) -> list[Path]:
+def cmd_train(args, checkpoint: Path, metrics: Path) -> None:
     config, options = _config_and_options(args)
     if args.variant == "fsl" and args.rules is None:
         raise UsageError("--rules is required with --variant fsl")
@@ -112,12 +123,9 @@ def cmd_train(args) -> list[Path]:
                          "trains without rules")
     store = load_facts(args.facts)
     rules, _ = load_rules(args.rules, store.relations) if args.rules else ([], 0)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    checkpoint.parent.mkdir(parents=True, exist_ok=True)
 
     result = trainer.train(store, rules, config, options)
-    checkpoint = outdir / "checkpoint.txt"
-    metrics = outdir / "metrics.csv"
     model.save_embeddings(checkpoint, result.params,
                           store.relations.names, store.tuples.names, config.variant)
     # one column per EpochStats field, in field order; the loss spreads over four
@@ -130,7 +138,6 @@ def cmd_train(args) -> list[Path]:
     print(f"trained {options.epochs} epochs on {len(store)} facts "
           f"({len(store.relations)} relations, {len(store.tuples)} tuples); "
           f"checkpoint at {checkpoint}")
-    return [checkpoint, metrics]
 
 
 def _load_checkpoint(args):
@@ -143,7 +150,7 @@ def _load_checkpoint(args):
     return params, Vocab(rel_names), Vocab(tup_names)
 
 
-def cmd_eval(args) -> list[Path]:
+def cmd_eval(args, out: Path) -> None:
     params, relations, tuples = _load_checkpoint(args)
     test = load_facts_with_vocab(args.test, relations, tuples)
     if args.train_facts:
@@ -154,24 +161,20 @@ def cmd_eval(args) -> list[Path]:
     table = [[relations.name(row.relation), row.n_test, repr(row.average_precision)]
              for row in rows]
     table.append([WEIGHTED_MAP, sum(r.n_test for r in rows), repr(wmap)])
-    out = Path(args.out)
     _write_csv(out, ["relation", "test_facts", "average_precision"], table)
     print(f"weighted MAP {wmap:.4f} over {len(rows)} relations -> {out}")
-    return [out]
 
 
-def cmd_mine(args) -> list[Path]:
+def cmd_mine(args, out: Path) -> None:
     store = load_facts(args.facts)
     mined = mining.mine_rules(store.relations, mining.load_lexicon(args.lexicon))
     rules = (mining.filter_rules(mined, args.decisions, store.relations)
              if args.decisions else mined)
-    out = Path(args.out)
     save_rules(out, rules, store.relations)
     print(f"mined {len(mined)} candidate rules, wrote {len(rules)} -> {out}")
-    return [out]
 
 
-def cmd_analyze_asymmetry(args) -> list[Path]:
+def cmd_analyze_asymmetry(args, out: Path) -> None:
     params, relations, tuples = _load_checkpoint(args)
     train_store = load_facts_with_vocab(args.train_facts, relations, tuples)
     rules, _ = load_rules(args.rules, relations)
@@ -181,14 +184,12 @@ def cmd_analyze_asymmetry(args) -> list[Path]:
               repr(row.mean_forward), repr(row.mean_backward), row.n_forward, row.n_backward]
              for row in rows]
     table.append([GRAND_MEAN, "", repr(grand_fwd), repr(grand_bwd), "", ""])
-    out = Path(args.out)
     _write_csv(out, ["antecedent", "consequent", "mean_forward", "mean_backward",
                      "n_forward", "n_backward"], table)
     print(f"asymmetry report for {len(rows)} rules -> {out}")
-    return [out]
 
 
-def cmd_analyze_matrix(args) -> list[Path]:
+def cmd_analyze_matrix(args, out: Path) -> None:
     params, relations, _tuples = _load_checkpoint(args)
     rules, _ = load_rules(args.rules, relations)
     involved = sorted({i for r in rules for i in (r.antecedent, r.consequent)})
@@ -199,13 +200,11 @@ def cmd_analyze_matrix(args) -> list[Path]:
     columns = [involved[j] for j in order]
     table = [[dim] + [repr(float(params.relations[c, dim])) for c in columns]
              for dim in range(params.relations.shape[1])]
-    out = Path(args.out)
     _write_csv(out, ["dimension"] + [relations.name(c) for c in columns], table)
     print(f"relation matrix with {len(columns)} columns -> {out}")
-    return [out]
 
 
-def cmd_analyze_zero_shot(args) -> list[Path]:
+def cmd_analyze_zero_shot(args, out: Path) -> None:
     config, options = _config_and_options(args)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
@@ -220,10 +219,8 @@ def cmd_analyze_zero_shot(args) -> list[Path]:
     points = evaluation.zero_shot_sweep(store, test, rules, {r.consequent for r in rules},
                                         fractions, config, options)
     table = [[repr(fraction), repr(wmap)] for fraction, wmap in points]
-    out = Path(args.out)
     _write_csv(out, ["fraction", "weighted_map"], table)
     print(f"zero-shot curve with {len(points)} points -> {out}")
-    return [out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,15 +295,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    out = Path(args.out)
+    *outputs, manifest = _written_files(args)
     try:
+        written = {Path(p).resolve() for p in (args.out, *outputs, manifest)}
         for flag, path in _input_files(args).items():
-            if Path(path).resolve() == out.resolve():
+            if Path(path).resolve() in written:
                 raise FileExistsError(f"--out {args.out} would overwrite the "
                                       f"--{flag.replace('_', '-')} file {path}")
-        outputs = args.func(args)
-        write_manifest(out / "manifest.json" if out.is_dir()
-                       else out.with_name(out.name + ".manifest.json"), args, outputs)
+        args.func(args, *outputs)
+        write_manifest(manifest, args, outputs)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

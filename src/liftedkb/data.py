@@ -237,7 +237,7 @@ def load_facts(path) -> FactStore:
 
 
 def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
-    """Parse a fact file against fixed vocabularies (e.g. from a checkpoint).
+    """Parse a fact file against fixed vocabularies: a checkpoint's, or a training fact file's.
 
     A file that breaks the format is an error as in `load_facts`. Then names
     absent from the vocabularies are an error; the message names the first
@@ -253,7 +253,7 @@ def load_facts_with_vocab(path, relations: Vocab, tuples: Vocab) -> FactStore:
         for lineno, line in _numbered_lines(text):
             rel, tup = line.split("\t")
             if rel not in relations or tup not in tuples:
-                raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
+                raise DataError(f"{path}:{lineno}: names missing from the training vocabulary: "
                                 + ", ".join(sorted(unknown))) from None
     return FactStore(relations, tuples, facts)
 

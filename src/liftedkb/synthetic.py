@@ -75,6 +75,9 @@ def clustered_corpus(n_clusters: int = 4, relations_per_cluster: int = 10,
 def random_corpus(n_relations: int, n_tuples: int, n_facts: int,
                   seed: int = 0) -> FactStore:
     """Uniform random facts over exactly `r0..` and `t0..` (id = index); for timing runs."""
+    if n_facts > n_relations * n_tuples:
+        raise ValueError(f"n_facts={n_facts} distinct facts do not fit in n_relations="
+                         f"{n_relations} x n_tuples={n_tuples} pairs")
     rng = np.random.default_rng(seed)
     pairs: dict[tuple[int, int], None] = {}  # distinct pairs in first-drawn order
     while len(pairs) < n_facts:

@@ -319,7 +319,7 @@ def load_facts_with_vocab_oracle(path, relations: Vocab, tuples: Vocab) -> FactS
                | {tup for _, _, tup in lines if tup not in tuples})
     if unknown:
         lineno = next(n for n, rel, tup in lines if rel not in relations or tup not in tuples)
-        raise DataError(f"{path}:{lineno}: names missing from checkpoint vocabulary: "
+        raise DataError(f"{path}:{lineno}: names missing from the training vocabulary: "
                         + ", ".join(sorted(unknown)))
     return FactStore(relations, tuples,
                      [(relations.id(rel), tuples.id(tup)) for _, rel, tup in lines])

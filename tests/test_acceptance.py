@@ -173,7 +173,8 @@ def test_criterion_5_synthetic_fsl_benefit(benefit_runs):
 
 
 def test_criterion_6_synthetic_zero_shot(benefit_runs):
-    """Rules recover implied relations with all their training facts removed."""
+    """Rules recover implied relations with all their training facts removed,
+    and the same rules reversed recover less."""
     start = time.perf_counter()
     seed = 0
     corpus, split, _ = benefit_runs[seed]
@@ -184,6 +185,13 @@ def test_criterion_6_synthetic_zero_shot(benefit_runs):
     fs_baseline = zero_shot_sweep(split.train, split.test, [], implied,
                                   [0.0], ModelConfig(k=16, variant="fs"), opts)
     gap = fsl[0][1] - fs_baseline[0][1]
+    # the control: each rule reversed, so the implied relations imply the
+    # relations that hold their facts; seeds 0-4 read correct minus reversed
+    # 0.172, 0.100, 0.056, 0.211, 0.121, so the margin sits below the least
+    reversed_rules = [Rule(r.consequent, r.antecedent) for r in corpus.rules]
+    reversed_sweep = zero_shot_sweep(split.train, split.test, reversed_rules, implied,
+                                     [0.0], ModelConfig(k=16, variant="fsl"), opts)
+    direction = fsl[0][1] - reversed_sweep[0][1]
 
     # fraction 1.0 must equal a plain training run bitwise (same seed, same
     # cold relations)
@@ -194,9 +202,10 @@ def test_criterion_6_synthetic_zero_shot(benefit_runs):
     bitwise = fsl[1][1] == plain_map
     elapsed = time.perf_counter() - start
     report("criterion 6 (zero-shot)",
-           gap >= 0.2 and bitwise and elapsed < 300,
+           gap >= 0.2 and direction >= 0.05 and bitwise and elapsed < 300,
            f"FSL {fsl[0][1]:.3f} vs FS baseline "
-           f"{fs_baseline[0][1]:.3f} (gap {gap:.3f}), "
+           f"{fs_baseline[0][1]:.3f} (gap {gap:.3f}), vs reversed rules "
+           f"{reversed_sweep[0][1]:.3f} (gap {direction:.3f}), "
            f"fraction-1.0 bitwise equal: {bitwise}, {elapsed:.0f}s")
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -280,14 +281,14 @@ class TestEvalCommand:
     def test_vocabulary_mismatch_is_data_error(self, corpus_files, tmp_path, capsys):
         bad, err = self.vocabulary_mismatch_error(corpus_files, tmp_path, capsys, "--test")
         # the first offending line, then every missing name
-        assert (f"{bad}:2: names missing from checkpoint vocabulary: "
+        assert (f"{bad}:2: names missing from the training vocabulary: "
                 "no_such_relation, no_such_tuple\n") in err
 
     def test_train_facts_vocabulary_mismatch_names_its_line(self, corpus_files, tmp_path,
                                                             capsys):
         bad, err = self.vocabulary_mismatch_error(corpus_files, tmp_path, capsys,
                                                   "--train-facts")
-        assert f"{bad}:2: names missing from checkpoint vocabulary" in err
+        assert f"{bad}:2: names missing from the training vocabulary" in err
 
     def test_duplicate_checkpoint_name_is_data_error(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
@@ -714,3 +715,25 @@ class TestManifest:
         assert f"would overwrite the {flag} file" in err[0]
         assert target.read_bytes() == before
         assert _manifests(workdir) == manifests
+
+    @pytest.mark.parametrize("argv, flag, source", [
+        (["train", "--facts", "run/metrics.csv", "--epochs", "1", "--k", "4", "--out", "run"],
+         "--facts", "train.tsv"),
+        (["eval", *CKPT, "--test", "e.csv.manifest.json", "--out", "e.csv"], "--test",
+         "test.tsv"),
+        (["mine", "--facts", "patterns.tsv", "--lexicon", "mined.tsv.manifest.json",
+          "--out", "mined.tsv"], "--lexicon", "lexicon.tsv"),
+    ], ids=["train-facts-is-metrics", "eval-test-is-manifest", "mine-lexicon-is-manifest"])
+    def test_written_file_that_is_an_input_is_usage_error(self, workdir, capsys, argv, flag,
+                                                          source):
+        # the input holds what its flag reads, so a run that got past the
+        # guard would succeed and overwrite it
+        target = argv[argv.index(flag) + 1]
+        shutil.copyfile(source, target)
+        before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out ")
+        assert f"would overwrite the {flag} file {target}" in err[0]
+        assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before

@@ -378,6 +378,12 @@ class TestRandomCorpus:
         # registering the vocabulary through facts observed r0 with every tuple
         assert len(store.tuples_of(0)) < 40
 
+    def test_more_facts_than_pairs_is_an_error(self):
+        # the draw loop could never collect 5 distinct facts from 4 pairs
+        with pytest.raises(ValueError, match="n_facts=5 .* n_relations=2 x n_tuples=2"):
+            random_corpus(2, 2, 5)
+        assert len(random_corpus(2, 2, 4)) == 4
+
 
 class TestLoadFactsWithVocab:
     def test_ids_follow_the_given_vocabularies(self, tmp_path):
@@ -403,7 +409,7 @@ class TestLoadFactsWithVocab:
         path = write(tmp_path, "f.tsv", text)
         with pytest.raises(DataError) as excinfo:
             load_facts_with_vocab(path, Vocab(["a"]), Vocab(["x"]))
-        assert str(excinfo.value) == (f"{path}:{lineno}: names missing from checkpoint "
+        assert str(excinfo.value) == (f"{path}:{lineno}: names missing from the training "
                                       f"vocabulary: {names}")
 
     def test_names_are_not_checked_for_whitespace(self, tmp_path):
