@@ -3,15 +3,16 @@
 `_written_files` names each file a run writes, from the parsed flags:
 `checkpoint.txt`, `metrics.csv` and `manifest.json` under a `train --out`
 directory, else `--out` itself and `<out>.manifest.json` beside it. Before
-anything is read, `main` checks `--out` and these files against the
-`INPUT_FLAGS` files. The `cmd_*` writes the outputs (CSV per RFC 4180, a rule
-file or the text checkpoint format), then `main` writes the JSON run manifest:
-resolved flags, the SHA-256 of each input file, outputs. Reruns with identical
-inputs and flags are byte-identical except for recorded wall-clock fields.
+anything is read, `main` rejects any of these files that is an existing
+directory, and checks `--out` and these files against the `INPUT_FLAGS`
+files. The `cmd_*` writes the outputs (CSV per RFC 4180, a rule file or the
+text checkpoint format), then `main` writes the JSON run manifest: resolved
+flags, the SHA-256 of each input file, outputs. Reruns with identical inputs
+and flags are byte-identical except for recorded wall-clock fields.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, a path that is
 missing or names the wrong kind of file, or a file the run would write that is
-an input), 2 data error, 3 numerical abort.
+an input or an existing directory), 2 data error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     *outputs, manifest = _written_files(args)
     try:
+        for path in (*outputs, manifest):
+            if path.is_dir():
+                raise IsADirectoryError(f"--out {args.out} would write the file {path}, "
+                                        "which is a directory")
         written = {Path(p).resolve() for p in (args.out, *outputs, manifest)}
         for flag, path in _input_files(args).items():
             if Path(path).resolve() in written:

@@ -15,10 +15,10 @@ each, with no buffering across values; `tests/test_trainer.py` pins this by
 name). The draws then form one stream that the facts consume in order:
 fact j takes draws until one misses the observed facts or the cap is hit,
 so a collision only shifts every later fact's first draw by one. The
-sampler draws a block of that stream, walks the facts over it in one plain
-loop, extends it from the same generator when it runs short, then restores
-the saved state and redraws exactly the number of values used, so the
-generator ends where the per-attempt loop would have left it.
+sampler draws that stream in blocks, each only when the last is used up and
+each holding one draw per fact still without a negative, the current fact
+included. Every such fact takes at least one more draw, so every value drawn
+is used, and the generator ends where the per-attempt loop would leave it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -106,35 +107,33 @@ def sample_negatives(store: FactStore, relations, rng,
     the sampled tuple id, or -1 when all `max_attempts` draws hit observed
     facts and the pair is dropped, and the draws it took. Values and the
     final generator state equal those of one scalar `rng.integers(n_tuples)`
-    per attempt, relations in order (see the module docstring).
+    per attempt, relations in order, and every value drawn is used (see the
+    module docstring).
     """
     relations = np.asarray(relations, dtype=np.int64)
     n, n_tuples = len(relations), len(store.tuples)
     observed = store.key_set
     negatives = []
     attempts = np.ones(n, dtype=np.int64)
-    saved = rng.bit_generator.state
-    draws = rng.integers(n_tuples, size=n + max_attempts).tolist()
-    used = 0  # draws consumed; len(draws) - used >= n - j + max_attempts at fact j
+
+    def blocks():  # each holds one draw per fact still without a negative
+        while True:
+            yield rng.integers(n_tuples, size=n - len(negatives)).tolist()
+
+    next_draw = chain.from_iterable(blocks()).__next__
     for j, base in enumerate((relations * n_tuples).tolist()):
-        draw = draws[used]
-        used += 1
+        draw = next_draw()
         if base + draw not in observed:
             negatives.append(draw)
             continue
         for tried in range(2, max_attempts + 1):
-            draw = draws[used]
-            used += 1
+            draw = next_draw()
             if base + draw not in observed:
                 break
         else:  # every draw hit an observed fact: the pair is dropped
             draw, tried = -1, max_attempts
         negatives.append(draw)
         attempts[j] = tried
-        while len(draws) - used < n - j - 1 + max_attempts:  # the stream continues
-            draws += rng.integers(n_tuples, size=len(draws)).tolist()
-    rng.bit_generator.state = saved
-    rng.integers(n_tuples, size=used)
     return np.array(negatives, dtype=np.int64), attempts
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import liftedkb
+from liftedkb import cli
 from liftedkb.cli import build_parser, entrypoint, main
 from liftedkb.data import RESERVED_RELATIONS, holdout_split
 from liftedkb.model import ModelConfig
@@ -736,4 +737,27 @@ class TestManifest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --out ")
         assert f"would overwrite the {flag} file {target}" in err[0]
+        assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("argv, directory", [
+        (["eval", *CKPT, "--test", "test.tsv", "--out", "outdir"], "outdir"),
+        (MANIFEST_CASES["train"][0], "run2/checkpoint.txt"),
+        (["eval", *CKPT, "--test", "test.tsv", "--out", "e2.csv"], "e2.csv.manifest.json"),
+    ], ids=["eval-out", "train-checkpoint", "eval-manifest"])
+    def test_written_file_that_is_a_directory_is_usage_error(self, workdir, capsys, monkeypatch,
+                                                              argv, directory):
+        # found before the command runs, not after its work
+        ran = []
+        for name, command in list(vars(cli).items()):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda *a, name=name, command=command:
+                                    ran.append(name) or command(*a))
+        Path(directory).mkdir(parents=True)
+        before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out ")
+        assert f"would write the file {directory}, which is a directory" in err[0]
+        assert ran == []
         assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before

@@ -94,17 +94,32 @@ class TestSampleNegative:
         assert attempts.sum() > len(relations) + trainer.MAX_NEGATIVE_ATTEMPTS
         assert (negatives == -1).sum() == relations.count(2)
 
+    def test_draws_only_the_values_it_uses(self):
+        # each block holds one draw per fact still without a negative, and
+        # each such fact takes at least one more, so no value is discarded
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.bit_generator, self.drawn = rng, rng.bit_generator, 0
+
+            def integers(self, high, size=None):
+                self.drawn += 1 if size is None else size
+                return self.rng.integers(high, size=size)
+
+        rng = CountingGenerator(np.random.default_rng(4))
+        _, attempts = sample_negatives(edge_store(), [2, 0, 1, 2, 2, 1, 0, 2] * 20, rng)
+        assert rng.drawn == attempts.sum()
+
     @pytest.mark.parametrize("max_attempts", [1, trainer.MAX_NEGATIVE_ATTEMPTS])
     def test_long_collision_chains(self, max_attempts):
         # relation 0 observes 48 of 50 tuples: facts take about 25 draws
-        # each under the full cap, and the stream is extended several times
+        # each under the full cap, so the stream is drawn in many blocks
         observed = np.random.default_rng(95).permutation(50)[:48]
         store = FactStore(Vocab(["dense"]), Vocab([f"t{t}" for t in range(50)]),
                           [(0, t) for t in observed.tolist()])
         relations = [0] * 2000
         negatives, attempts = sample_like_oracle(store, relations, seed=95,
                                                  max_attempts=max_attempts)
-        if max_attempts > 1:  # three doublings of the first block did not suffice
+        if max_attempts > 1:  # the draws outrun the first block many times over
             assert attempts.sum() > 8 * (len(relations) + max_attempts)
         assert 0 < (negatives == -1).sum() < len(relations)
 
