@@ -101,13 +101,13 @@ def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
     positives = np.array(sorted(task.positives), dtype=np.int64)
     if positives[0] < 0 or positives[-1] >= n:
         raise DataError(f"relation {task.relation}: positive tuple ids outside 0..{n - 1}")
-    clash = np.intersect1d(positives, task.excluded)
+    in_pool = np.ones(n, dtype=bool)
+    in_pool[task.excluded] = False
+    clash = positives[~in_pool[positives]]
     if clash.size:
         shown = ", ".join(map(str, clash[:10].tolist())) + (", ..." if clash.size > 10 else "")
         raise DataError(f"relation {task.relation}: {clash.size} test tuple(s) are also "
                         f"training tuples and so not in the pool: {shown}")
-    in_pool = np.ones(n, dtype=bool)
-    in_pool[task.excluded] = False
     pool = np.sort(scores[in_pool])
     own = scores[positives]
     upper = np.searchsorted(pool, own, side="right")

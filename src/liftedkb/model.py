@@ -110,15 +110,16 @@ class Gradients:
 
     `relations` has shape (len(relation_rows), k) and `tuple_pre` shape
     (len(tuple_rows), k); row i is the gradient of parameter row
-    `relation_rows[i]` / `tuple_rows[i]`. The row arrays are sorted and
-    unique, so a buffer position is `np.searchsorted(rows, id)` (the batch's
-    own ids take theirs from `np.unique`'s inverse). Buffer size depends on
-    the batch, never on the vocabulary sizes.
+    `relation_rows[i]` / `tuple_rows[i]`, and the row arrays are sorted and
+    unique. `rule_rows` holds the buffer positions of the rule relations,
+    antecedents then consequents. Buffer size depends on the batch, never on
+    the vocabulary sizes.
     """
     relations: np.ndarray
     tuple_pre: np.ndarray
     relation_rows: np.ndarray
     tuple_rows: np.ndarray
+    rule_rows: np.ndarray
 
 
 def scatter_rows(at, values, n_rows: int) -> np.ndarray:
@@ -157,7 +158,7 @@ def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
     """Gradients of the reconstruction + L2 terms; returns (grads, recon, l2).
 
     The buffers are row-compact over the unique relations of the batch and
-    its rules (`rule_idx`, so `rule_gradients` has rows to add into) and the
+    its rules (`rule_idx`, whose rows `rule_gradients` adds into) and the
     unique tuples of the batch. The tuple sigmoid runs once per unique row;
     one (2m, k) gather of it, negatives then positives, becomes the tuple
     gradients in place. Each row accumulates the same values in the same
@@ -186,7 +187,7 @@ def recon_l2_gradients(params: ModelParams, batch: Batch, rule_idx,
     grad_rel += 2.0 * config.alpha * rel_params
     grad_tup += 2.0 * config.alpha * tup_params
     l2 = float(np.sum(rel_params ** 2) + np.sum(tup_params ** 2))
-    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows), recon, l2
+    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows, rel_at[m:]), recon, l2
 
 
 def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
@@ -194,19 +195,18 @@ def rule_gradients(params: ModelParams, rule_idx, config: ModelConfig,
     """Add beta_tilde-weighted lifted-rule gradients in place; returns the raw loss.
 
     The hinge subgradient at the kink is 0 (constraint already satisfied).
-    `rule_idx` is a pair of index arrays (antecedents, consequents); every
-    rule relation must be in `grads.relation_rows`, as `recon_l2_gradients`
-    guarantees. It adds with `np.add.at` into the filled rows, one value
-    at a time; summing the rule terms apart first (`scatter_rows`) would
-    round differently.
+    `rule_idx` is a pair of index arrays (antecedents, consequents), and
+    `grads.rule_rows` their buffer rows. One `np.add.at` adds into the filled
+    rows one value at a time, every antecedent term in rule order, then every
+    consequent term; summing the rule terms apart first (`scatter_rows`)
+    would round differently.
     """
     ant, cons = rule_idx
     diff = params.relations[ant] - params.relations[cons] + config.delta
     active = diff > 0.0
     loss = float(np.where(active, diff, 0.0).sum())
     contrib = config.beta_tilde * active.astype(np.float64)
-    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, ant), contrib)
-    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, cons), -contrib)
+    np.add.at(grads.relations, grads.rule_rows, np.concatenate([contrib, -contrib]))
     return loss
 
 

@@ -99,19 +99,18 @@ class EpochStats:
     adam_rows: int = 0           # relation plus tuple rows ADAM updated
 
 
-def sample_negatives(store: FactStore, relations, rng,
-                     max_attempts: int = MAX_NEGATIVE_ATTEMPTS):
+def sample_negatives(store: FactStore, relations, rng):
     """Uniform unobserved tuple for each entry of `relations`, by rejection.
 
     Returns (negatives, attempts), int64 arrays with one entry per relation:
-    the sampled tuple id, or -1 when all `max_attempts` draws hit observed
-    facts and the pair is dropped, and the draws it took. Values and the
-    final generator state equal those of one scalar `rng.integers(n_tuples)`
+    the sampled tuple id, or -1 when all `MAX_NEGATIVE_ATTEMPTS` draws hit
+    observed facts and the pair is dropped, and the draws it took. Values and
+    the final generator state equal those of one scalar `rng.integers(n_tuples)`
     per attempt, relations in order, and every value drawn is used (see the
     module docstring).
     """
     relations = np.asarray(relations, dtype=np.int64)
-    n, n_tuples = len(relations), len(store.tuples)
+    n, n_tuples, max_attempts = len(relations), len(store.tuples), MAX_NEGATIVE_ATTEMPTS
     observed = store.key_set
     negatives = []
     attempts = np.ones(n, dtype=np.int64)

@@ -6,8 +6,9 @@ checkpoint readers, and a pattern corpus for rule mining.
 
 These stay independent of the code paths they check: `batch_loss` and
 `recon_l2_gradients_oracle` take the sigmoid once per pair occurrence, the
-latter summing rows with `np.add.at`; the finite-difference oracle only
-evaluates `batch_loss`, `grounded_rule_loss` sums the hinge tuple by tuple,
+latter summing rows with `np.add.at`; `rule_gradients_oracle` finds its rows
+with `np.searchsorted`; the finite-difference oracle only evaluates
+`batch_loss`, `grounded_rule_loss` sums the hinge tuple by tuple,
 the AP oracle ranks by pairwise comparison instead of sorting, the sampler
 oracle draws one scalar per attempt, the ADAM oracle evaluates the textbook
 expressions with fresh temporaries, and the fact-file and checkpoint
@@ -130,7 +131,23 @@ def recon_l2_gradients_oracle(params: ModelParams, batch: Batch, rule_idx,
     grad_rel += 2.0 * config.alpha * rel_params
     grad_tup += 2.0 * config.alpha * tup_params
     l2 = float(np.sum(rel_params ** 2) + np.sum(tup_params ** 2))
-    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows), recon, l2
+    rule_rows = np.searchsorted(rel_rows, np.concatenate(rule_idx))
+    return Gradients(grad_rel, grad_tup, rel_rows, tup_rows, rule_rows), recon, l2
+
+
+def rule_gradients_oracle(params: ModelParams, rule_idx, config: ModelConfig,
+                          grads: Gradients) -> float:
+    """`model.rule_gradients` with each rule relation's buffer row found by
+    `np.searchsorted` in `grads.relation_rows`, and one `np.add.at` for the
+    antecedents' terms, then one for the consequents'. The training path must
+    match it byte for byte."""
+    ant, cons = rule_idx
+    diff = params.relations[ant] - params.relations[cons] + config.delta
+    active = diff > 0.0
+    contrib = config.beta_tilde * active.astype(np.float64)
+    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, ant), contrib)
+    np.add.at(grads.relations, np.searchsorted(grads.relation_rows, cons), -contrib)
+    return float(np.where(active, diff, 0.0).sum())
 
 
 def dense_gradients(params: ModelParams, batch: Batch, rules, config: ModelConfig) -> ModelParams:

@@ -7,7 +7,8 @@ import pytest
 from helpers import (away_from_hinge_kinks, batch_from_pairs, batch_loss, dense_gradients,
                      finite_difference_gradients, grounded_rule_loss, implication_pair_loss,
                      lifted_rule_loss, load_embeddings_oracle, random_instance,
-                     recon_l2_gradients_oracle, relative_gradient_error)
+                     recon_l2_gradients_oracle, relative_gradient_error,
+                     rule_gradients_oracle)
 from liftedkb import model
 from liftedkb.data import FactStore, Rule, Vocab
 from liftedkb.errors import ParseError
@@ -244,8 +245,10 @@ def gather_instance(variant, shape, m=3_000, k=6, seed=0):
 
     `repeats` draws m pairs from 5 relations and 12 tuples; `self_pairs`
     makes every third pair's negative its positive; `rules_outside_batch`
-    puts the rules on relations 6-9, which the batch never names. Row
-    scales of 1e-3..1e2 make any change of summation order change bits.
+    puts the rules on relations 6-9, which the batch never names;
+    `shared_rule_relation` makes relation 0 the consequent of the first rule
+    and the antecedent of the next two. Row scales of 1e-3..1e2 make any
+    change of summation order change bits.
     """
     rng = np.random.default_rng(seed)
     config = ModelConfig(k=k, variant=variant, alpha=0.01)
@@ -257,7 +260,8 @@ def gather_instance(variant, shape, m=3_000, k=6, seed=0):
     negatives = rng.integers(12, size=m)
     if shape == "self_pairs":
         negatives[::3] = positives[::3]
-    ant, cons = ([6, 8], [7, 9]) if shape == "rules_outside_batch" else ([0, 3], [4, 1])
+    ant, cons = {"rules_outside_batch": ([6, 8], [7, 9]),
+                 "shared_rule_relation": ([3, 0, 0], [0, 1, 2])}.get(shape, ([0, 3], [4, 1]))
     return params, Batch(relations, positives, negatives), \
         (np.array(ant), np.array(cons)), config
 
@@ -273,6 +277,7 @@ class TestOneGatherForward:
             [want.relations.tobytes(), want.tuple_pre.tobytes(), want_recon, want_l2]
         assert np.array_equal(got.relation_rows, want.relation_rows)
         assert np.array_equal(got.tuple_rows, want.tuple_rows)
+        assert np.array_equal(got.rule_rows, want.rule_rows)
 
     @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
     def test_sigmoid_once_per_touched_tuple_row(self, monkeypatch, variant):
@@ -309,6 +314,22 @@ class TestOneGatherForward:
         finally:
             tracemalloc.stop()
         assert peak <= 5.0 * m * k * 8, f"peak {peak / (m * k * 8):.2f}x m*k*8"
+
+
+class TestRuleGradients:
+    def test_bytes_equal_two_add_at_oracle(self):
+        # relation 0 takes one consequent term, then two antecedent terms in
+        # rule order. Every hinge is active and the terms are as large as the
+        # gradient rows, so the partial sums cross binades, and an order other
+        # than the oracle's, antecedents then consequents, changes some bits
+        params, batch, rule_idx, config = gather_instance("fsl", "shared_rule_relation",
+                                                          m=30, k=32)
+        config.beta_tilde, config.delta = 1.0, 1e3
+        got, _, _ = model.recon_l2_gradients(params, batch, rule_idx, config)
+        want, _, _ = recon_l2_gradients_oracle(params, batch, rule_idx, config)
+        loss = model.rule_gradients(params, rule_idx, config, got)
+        want_loss = rule_gradients_oracle(params, rule_idx, config, want)
+        assert [got.relations.tobytes(), loss] == [want.relations.tobytes(), want_loss]
 
 
 class TestPersistence:

@@ -19,12 +19,17 @@ def small_store():
     return FactStore.from_named_pairs(pairs)
 
 
-def sample_like_oracle(store, relations, seed, max_attempts=trainer.MAX_NEGATIVE_ATTEMPTS):
+# the rule rows of a `Gradients` built by hand: no rules
+NO_RULE_ROWS = np.array([], dtype=np.int64)
+
+
+def sample_like_oracle(store, relations, seed):
     """`sample_negatives` on `relations`, checked against one oracle call per
-    entry: same negatives (-1 for a dropped pair), attempts and final state."""
+    entry with the cap `trainer.MAX_NEGATIVE_ATTEMPTS` holds at call time:
+    same negatives (-1 for a dropped pair), attempts and final state."""
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    negatives, attempts = sample_negatives(store, relations, rng, max_attempts)
-    expected = [sample_negative(store, rel, oracle_rng, max_attempts)
+    negatives, attempts = sample_negatives(store, relations, rng)
+    expected = [sample_negative(store, rel, oracle_rng, trainer.MAX_NEGATIVE_ATTEMPTS)
                 for rel in np.asarray(relations).tolist()]
     assert negatives.tolist() == [-1 if neg is None else neg for neg, _ in expected]
     assert attempts.tolist() == [tries for _, tries in expected]
@@ -61,7 +66,8 @@ class TestSampleNegative:
         assert attempts.tolist() == [trainer.MAX_NEGATIVE_ATTEMPTS]
 
     @pytest.mark.parametrize("max_attempts", [1, 3, trainer.MAX_NEGATIVE_ATTEMPTS])
-    def test_matches_oracle_on_random_stores(self, max_attempts):
+    def test_matches_oracle_on_random_stores(self, monkeypatch, max_attempts):
+        monkeypatch.setattr(trainer, "MAX_NEGATIVE_ATTEMPTS", max_attempts)
         rng = np.random.default_rng(20)
         for case in range(40):
             n_rel, n_tup = int(rng.integers(1, 6)), int(rng.integers(1, 30))
@@ -71,7 +77,7 @@ class TestSampleNegative:
                               Vocab([f"t{t}" for t in range(n_tup)]),
                               np.argwhere(observed))
             relations = rng.integers(n_rel, size=int(rng.integers(0, 400)))
-            sample_like_oracle(store, relations, seed=case, max_attempts=max_attempts)
+            sample_like_oracle(store, relations, seed=case)
 
     @pytest.mark.parametrize("at", [0, 63, 64, 191, 192])
     @pytest.mark.parametrize("drop", [False, True])
@@ -110,15 +116,15 @@ class TestSampleNegative:
         assert rng.drawn == attempts.sum()
 
     @pytest.mark.parametrize("max_attempts", [1, trainer.MAX_NEGATIVE_ATTEMPTS])
-    def test_long_collision_chains(self, max_attempts):
+    def test_long_collision_chains(self, monkeypatch, max_attempts):
+        monkeypatch.setattr(trainer, "MAX_NEGATIVE_ATTEMPTS", max_attempts)
         # relation 0 observes 48 of 50 tuples: facts take about 25 draws
         # each under the full cap, so the stream is drawn in many blocks
         observed = np.random.default_rng(95).permutation(50)[:48]
         store = FactStore(Vocab(["dense"]), Vocab([f"t{t}" for t in range(50)]),
                           [(0, t) for t in observed.tolist()])
         relations = [0] * 2000
-        negatives, attempts = sample_like_oracle(store, relations, seed=95,
-                                                 max_attempts=max_attempts)
+        negatives, attempts = sample_like_oracle(store, relations, seed=95)
         if max_attempts > 1:  # the draws outrun the first block many times over
             assert attempts.sum() > 8 * (len(relations) + max_attempts)
         assert 0 < (negatives == -1).sum() < len(relations)
@@ -161,7 +167,7 @@ class TestAdamStep:
         params = ModelParams(np.zeros((1, 1)), np.zeros((1, 1)))
         state = AdamState.zeros(1, 1, 1)
         grads = Gradients(np.full((1, 1), grad_value), np.zeros((0, 1)),
-                          np.array([0]), np.array([], dtype=np.int64))
+                          np.array([0]), np.array([], dtype=np.int64), NO_RULE_ROWS)
         return params, state, grads
 
     def test_first_step_magnitude(self):
@@ -229,7 +235,7 @@ class TestAdamStep:
                 grad = rng.normal(size=(len(block_rows), k)) * 10.0 ** rng.integers(-8, 9)
                 grad.flat[rng.choice(grad.size, len(specials), replace=False)] = specials
                 grads.append(grad)
-            trainer.adam_step(params, Gradients(*grads, *rows), state, options)
+            trainer.adam_step(params, Gradients(*grads, *rows, NO_RULE_ROWS), state, options)
             theta_rel, theta_tup, m_rel, v_rel, m_tup, v_tup = expected
             adam_update_oracle(theta_rel, grads[0], m_rel, v_rel, rows[0], t, options)
             adam_update_oracle(theta_tup, grads[1], m_tup, v_tup, rows[1], t, options)
@@ -262,7 +268,7 @@ class TestAdamStep:
             rows = [np.arange(n), np.sort(rng.choice(sizes[1], n, replace=False))]
             grads = [rng.normal(size=(n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
                      for _ in rows]
-            trainer.adam_step(params, Gradients(*grads, *rows), state, options)
+            trainer.adam_step(params, Gradients(*grads, *rows, NO_RULE_ROWS), state, options)
             theta_rel, theta_tup, m_rel, v_rel, m_tup, v_tup = expected
             adam_update_oracle(theta_rel, grads[0], m_rel, v_rel, rows[0], t, options)
             adam_update_oracle(theta_tup, grads[1], m_tup, v_tup, rows[1], t, options)
@@ -281,7 +287,8 @@ class TestAdamStep:
         for rows in (1_000, 10_000):
             grads = Gradients(np.zeros((0, k)), rng.normal(size=(rows, k)),
                               np.array([], dtype=np.int64),
-                              np.sort(rng.choice(n_tuples, rows, replace=False)))
+                              np.sort(rng.choice(n_tuples, rows, replace=False)),
+                              NO_RULE_ROWS)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -301,7 +308,7 @@ class TestAdamStep:
         opts = TrainOptions(epochs=1)
         for step in range(10):
             grads = Gradients(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)),
-                              np.arange(3), np.arange(5))
+                              np.arange(3), np.arange(5), NO_RULE_ROWS)
             trainer.adam_step(params, grads, state, opts)
         assert np.all(state.v_rel >= 0) and np.all(state.v_tup >= 0)
         assert np.all(np.isfinite(params.relations))
