@@ -322,26 +322,26 @@ def load_embeddings(path):
                          " v the variant the model was trained with")
     k, variant = int(header[1]), header[3]
     no_rows = "checkpoint has no relations or no tuples"
-    # loadtxt would allocate rows of k values even where none fits in the file
-    if 2 * k > os.path.getsize(path):
-        _raise_bad_line(path, k, no_rows)
     dtype = [("tag", object), ("name", object), ("values", np.float64, (k,))]
-    try:
+    try:  # each check raises ValueError, and the walk names the bad line
+        # loadtxt would allocate rows of k values even where none fits in the file
+        if 2 * k > os.path.getsize(path):
+            raise ValueError(no_rows)
         with warnings.catch_warnings():  # a body of blank lines is `no_rows` below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=1, ndmin=1,
                               encoding="utf-8")
+        tags, names = rows["tag"], rows["name"]
+        is_relation = tags == "R"
+        relation_names, tuple_names = names[is_relation].tolist(), names[~is_relation].tolist()
+        if (not (is_relation | (tags == "E")).all()
+                or not names_fit(relation_names, "relation")
+                or not names_fit(tuple_names, "tuple")):
+            raise ValueError("a row has a bad tag or a reserved or repeated name")
+        if not relation_names or not tuple_names:
+            raise ValueError(no_rows)
     except ValueError as exc:
         _raise_bad_line(path, k, str(exc))
-    tags, names = rows["tag"], rows["name"]
-    is_relation = tags == "R"
-    relation_names, tuple_names = names[is_relation].tolist(), names[~is_relation].tolist()
-    if (not (is_relation | (tags == "E")).all()
-            or not names_fit(relation_names, "relation")
-            or not names_fit(tuple_names, "tuple")):
-        _raise_bad_line(path, k, "a row has a bad tag or a reserved or repeated name")
-    if not relation_names or not tuple_names:
-        raise ParseError(f"{path}: {no_rows}")
     values = rows["values"]
     params = ModelParams(values[is_relation], values[~is_relation])
     return params, relation_names, tuple_names, variant

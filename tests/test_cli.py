@@ -424,6 +424,13 @@ class TestMineCommand:
             row = next(csv.DictReader(fh))
         # a margin of 1 keeps the loaded rule's hinge open on every dimension
         assert float(row["implication"]) > 0.0
+        # and the rule's relations head the matrix columns by name
+        matrix = tmp_path / "matrix.csv"
+        assert main(["analyze", "matrix", "--checkpoint", str(out / "checkpoint.txt"),
+                     "--rules", str(mined), "--out", str(matrix)]) == 0
+        with open(matrix, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert sorted(header[1:]) == ["appos->diplomat=>x->amod", "appos->official=>x->amod"]
 
     def test_no_matches_writes_empty_file(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"

@@ -247,8 +247,13 @@ def gather_instance(variant, shape, m=3_000, k=6, seed=0):
     makes every third pair's negative its positive; `rules_outside_batch`
     puts the rules on relations 6-9, which the batch never names;
     `shared_rule_relation` makes relation 0 the consequent of the first rule
-    and the antecedent of the next two. Row scales of 1e-3..1e2 make any
-    change of summation order change bits.
+    and the antecedent of the next two. With row scales of 1e-3..1e2, a
+    reconstruction scatter summed in another occurrence order (reversed,
+    halves swapped or neighbours swapped) changed the relation and tuple
+    gradient bytes for every shape and variant on seeds 0-19. The rule
+    term's add order is another matter: at the default `beta_tilde` and
+    `delta`, an interleaved order changed bytes on 1 of 20 seeds, so its pin
+    sets every hinge active with terms as large as the rows.
     """
     rng = np.random.default_rng(seed)
     config = ModelConfig(k=k, variant=variant, alpha=0.01)
