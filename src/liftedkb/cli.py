@@ -4,15 +4,19 @@
 `checkpoint.txt`, `metrics.csv` and `manifest.json` under a `train --out`
 directory, else `--out` itself and `<out>.manifest.json` beside it. Before
 anything is read, `main` rejects any of these files that is an existing
-directory, and checks `--out` and these files against the `INPUT_FLAGS`
-files. The `cmd_*` writes the outputs (CSV per RFC 4180, a rule file or the
-text checkpoint format), then `main` writes the JSON run manifest: resolved
-flags, the SHA-256 of each input file, outputs. Reruns with identical inputs
-and flags are byte-identical except for recorded wall-clock fields.
+directory, checks `--out` and these files against the `INPUT_FLAGS` files,
+and rejects an `--out` whose directory is missing or a file (`train` makes
+its `--out` directory and any missing parents, so there the nearest existing
+one of `--out` and its parents must be a directory). The `cmd_*` writes the
+outputs (CSV per RFC 4180, a rule file or the text checkpoint format), then
+`main` writes the JSON run manifest: resolved flags, the SHA-256 of each
+input file, outputs. Reruns with identical inputs and flags are
+byte-identical except for recorded wall-clock fields.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, a path that is
-missing or names the wrong kind of file, or a file the run would write that is
-an input or an existing directory), 2 data error, 3 numerical abort.
+missing or names the wrong kind of file, a file the run would write that is
+an input or an existing directory, or an `--out` whose directory is missing or
+is a file), 2 data error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -307,6 +311,15 @@ def main(argv=None) -> int:
             if Path(path).resolve() in written:
                 raise FileExistsError(f"--out {args.out} would overwrite the "
                                       f"--{flag.replace('_', '-')} file {path}")
+        # train makes its --out directory and any missing parents; the other
+        # commands write into a directory that must exist
+        out = Path(args.out)
+        folder = (next(p for p in (out, *out.parents) if p.exists()) if args.command == "train"
+                  else out.parent)
+        if not folder.is_dir():
+            error, what = ((NotADirectoryError, "is not a directory") if folder.exists()
+                           else (FileNotFoundError, "does not exist"))
+            raise error(f"--out {args.out} needs the directory {folder}, which {what}")
         args.func(args, *outputs)
         write_manifest(manifest, args, outputs)
         return EXIT_OK

@@ -128,6 +128,9 @@ def scatter_rows(at, values, n_rows: int) -> np.ndarray:
     Each row is summed from 0.0 in occurrence order, exactly as `np.add.at`
     into zeros sums it: the product of a 0/1 CSR matrix with one entry per
     value, kept in column (occurrence) order within each row, and `values`.
+    Each value needs a column of its own, numbered in occurrence order,
+    because scipy's COO-to-CSR conversion sorts each row's column indices
+    (columns [2, 0, 1] come back as [0, 1, 2], the data reordered with them).
     """
     m = len(at)
     onehot = csr_matrix((np.ones(m), (at, np.arange(m))), shape=(n_rows, m))

@@ -654,6 +654,17 @@ def workdir(corpus_files, monkeypatch):
     return corpus_files["dir"]
 
 
+@pytest.fixture()
+def commands_run(monkeypatch):
+    """The names of the `cli.cmd_*` functions called, in call order."""
+    ran = []
+    for name, command in list(vars(cli).items()):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, command=command:
+                                ran.append(name) or command(*a))
+    return ran
+
+
 def _manifests(directory):
     return {str(p.relative_to(directory)) for p in directory.rglob("*manifest.json")}
 
@@ -751,14 +762,9 @@ class TestManifest:
         (MANIFEST_CASES["train"][0], "run2/checkpoint.txt"),
         (["eval", *CKPT, "--test", "test.tsv", "--out", "e2.csv"], "e2.csv.manifest.json"),
     ], ids=["eval-out", "train-checkpoint", "eval-manifest"])
-    def test_written_file_that_is_a_directory_is_usage_error(self, workdir, capsys, monkeypatch,
+    def test_written_file_that_is_a_directory_is_usage_error(self, workdir, capsys, commands_run,
                                                               argv, directory):
         # found before the command runs, not after its work
-        ran = []
-        for name, command in list(vars(cli).items()):
-            if name.startswith("cmd_"):
-                monkeypatch.setattr(cli, name, lambda *a, name=name, command=command:
-                                    ran.append(name) or command(*a))
         Path(directory).mkdir(parents=True)
         before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
         capsys.readouterr()
@@ -766,5 +772,25 @@ class TestManifest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --out ")
         assert f"would write the file {directory}, which is a directory" in err[0]
-        assert ran == []
+        assert commands_run == []
+        assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("argv, folder, problem", [
+        (["eval", *CKPT, "--test", "test.tsv", "--out", "missing/e.csv"], "missing",
+         "does not exist"),
+        ([*MANIFEST_CASES["train"][0][:-1], "notes.txt"], "notes.txt", "is not a directory"),
+        ([*MANIFEST_CASES["train"][0][:-1], "notes.txt/run"], "notes.txt", "is not a directory"),
+        ([*MANIFEST_CASES["zero-shot"][0][:-1], "missing/zs.csv"], "missing", "does not exist"),
+    ], ids=["eval-missing", "train-out-is-file", "train-parent-is-file", "zero-shot-missing"])
+    def test_out_whose_directory_is_missing_or_a_file_is_usage_error(
+            self, workdir, capsys, commands_run, argv, folder, problem):
+        # found before the command runs, not after its work
+        Path("notes.txt").write_text("not an input\n", encoding="utf-8")
+        before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {argv[-1]} ")
+        assert f"needs the directory {folder}, which {problem}" in err[0]
+        assert commands_run == []
         assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
