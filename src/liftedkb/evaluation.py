@@ -7,14 +7,53 @@ descending, ties broken by ascending tuple id, so rankings are reproducible.
 
 `weighted_map` is the one ranking kernel. It scores `BLOCK` relations at a
 time into one reused |T| x `BLOCK` score block from one stream of chunks of
-`CHUNK` effective-tuple values (the sigmoid, for FS/FSL), each computed once
-per call: a generator with one block, so the |T| x k effective-tuple matrix
-never exists, and a list reused by every block otherwise. A positive's rank
-is 1, plus the number of pool scores strictly greater than its own (a sort
-and `searchsorted`), plus the number of pool ties with a smaller tuple id
-(counted only for positives whose score is tied).
+`CHUNK` effective-tuple values, each computed once per call: a generator with
+one block, so the |T| x k effective-tuple matrix never exists, and a list
+reused by every block otherwise. A positive's rank is 1, plus the number of
+pool scores strictly greater than its own (a sort and `searchsorted`), plus
+the number of pool ties with a smaller tuple id (counted only for positives
+whose score is tied).
 
-Scores equal the whole product `effective_tuples(params, variant) @
+For FS and FSL the stream holds `_ranking_sigmoid`, numpy's
+`1 / (1 + exp(-x))`, in place of scipy's `expit`, which is most of the cost
+of ranking. The two differ by at most 2u (u = 2^-53) in every value measured,
+on both of CI's CPU paths; `SIGMOID_ERROR` = 64u allows 32 times that. A rank
+needs only the order of the exact scores, and the approximate ones certify
+it away from near ties:
+
+- Let e_q be a tuple's `expit` values and a_q its ranking-sigmoid values,
+  all in [0, 1], and r the relation. Three dot products enter a rank: the
+  approximate pool score A_q = fl(a_q . r), the exact pool score
+  S_q = fl(e_q . r) that exact ranking compares, and the positive's own
+  score o_p = fl(e_p . r), from its own `expit` rows. Each is within
+  gamma_k ||r||_1 of its exact value, gamma_k = ku / (1 - ku), because its
+  k terms are products with values in [0, 1]. That holds in any summation
+  order, with or without FMA, while nothing underflows or overflows.
+- The exact values of a_q . r and e_q . r differ by at most
+  SIGMOID_ERROR ||r||_1 = 64u ||r||_1. So
+  S_q - S_p >= A_q - o_p - (4 gamma_k + 64u) ||r||_1, and
+  S_q - S_p <= A_q - o_p + (4 gamma_k + 64u) ||r||_1.
+- The tolerance is tol = (4k + 66) u ||r||_1. Its last 2u ||r||_1 covers
+  4 gamma_k - 4ku and the rounding of ||r||_1, of tol and of o_p +- tol,
+  for any k that fits in memory.
+
+So a pool score above o_p + tol belongs to a tuple whose exact score beats
+the positive's, and one below o_p - tol to a tuple it beats. When each
+positive's window [o_p - tol, o_p + tol] holds exactly one pool score, its
+own, no exact score ties or crosses the positive's, and the rank is 1 plus
+the number of pool scores above the window: the exact rank, so the AP has
+the exact path's bits. Otherwise the relation is undecided, and its block is
+rescored exactly: from `expit` chunks with the same `np.matmul` calls, ranked
+with ties by id, as variant F always is.
+
+A block is scored exactly from the start when some relation's ||r||_1 lies
+outside `NORM_RANGE`: it is not finite, or so small or large that underflow
+or overflow voids the bound. It is also rescored when its approximate scores
+hold a NaN, so the NaN `DataError` fires exactly where exact scores hold one.
+`expit` stays the reference for every value trained, written or reported;
+the ranking sigmoid only orders scores.
+
+Exact scores equal the whole product `effective_tuples(params, variant) @
 relations.T` bit for bit only where the BLAS sums each output element in the
 same order at any row offset. OpenBLAS does not always: a chunk product
 small enough for its small-matrix kernel, or a one-relation product whose
@@ -26,6 +65,7 @@ within that bit of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -43,6 +83,11 @@ BLOCK = 64
 # float64 values of effective tuple embeddings per chunk of `weighted_map`
 # (256 KB, which stays in cache): a chunk is max(CHUNK // k, 1) tuple rows.
 CHUNK = 1 << 15
+# The largest difference between `_ranking_sigmoid` and `expit` that the
+# certified ranking allows, and the range of a relation's L1 norm within
+# which it certifies ranks (see the module docstring).
+SIGMOID_ERROR = 64 * 2.0**-53
+NORM_RANGE = (2.0**-900, 2.0**900)
 
 
 @dataclass
@@ -86,8 +131,26 @@ class AsymmetryRow:
         return self.n_forward == 0 or self.n_backward == 0
 
 
-def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
+def _ranking_sigmoid(pre: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-pre)) as a new array: within `SIGMOID_ERROR` of `expit`,
+    NaN where it is NaN. Below -709.78, `exp` overflows to inf and the value
+    is 0, as `expit`'s is, so the overflow is not warned about."""
+    with np.errstate(over="ignore"):
+        out = np.negative(pre)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def _average_precision(scores: np.ndarray, task: RankingTask, tol: float = 0.0,
+                       exact_own=None) -> float | None:
     """AP of `task.positives` in its pool ranked by `scores` (one per tuple).
+
+    With `tol` 0 the scores are exact and ties go by ascending tuple id. With
+    `tol` > 0 they are the ranking sigmoid's, `exact_own(positives)` gives the
+    sorted positives' exact scores, and the AP is certified as the module
+    docstring derives; None means undecided: some positive's window
+    [own - tol, own + tol] holds another pool score, or not its own.
 
     Precisions `hits / rank` are summed in rank order with Python `sum`, so
     the value is the one a walk down the full ranking would give, bit for bit.
@@ -109,12 +172,22 @@ def _average_precision(scores: np.ndarray, task: RankingTask) -> float:
         raise DataError(f"relation {task.relation}: {clash.size} test tuple(s) are also "
                         f"training tuples and so not in the pool: {shown}")
     pool = np.sort(scores[in_pool])
-    own = scores[positives]
-    upper = np.searchsorted(pool, own, side="right")
-    ranks = 1 + len(pool) - upper
-    for i in np.flatnonzero(upper - np.searchsorted(pool, own, side="left") > 1):
-        before = positives[i]
-        ranks[i] += np.count_nonzero(scores[:before][in_pool[:before]] == own[i])
+    if tol:
+        own = exact_own(positives)
+        low, high = own - tol, own + tol
+        upper = np.searchsorted(pool, high, side="right")
+        approximate = scores[positives]
+        if ((upper - np.searchsorted(pool, low, side="left") != 1).any()
+                or not ((low <= approximate) & (approximate <= high)).all()):
+            return None
+        ranks = 1 + len(pool) - upper
+    else:
+        own = scores[positives]
+        upper = np.searchsorted(pool, own, side="right")
+        ranks = 1 + len(pool) - upper
+        for i in np.flatnonzero(upper - np.searchsorted(pool, own, side="left") > 1):
+            before = positives[i]
+            ranks[i] += np.count_nonzero(scores[:before][in_pool[:before]] == own[i])
     ranks.sort()
     precisions = np.arange(1, len(ranks) + 1) / ranks
     return sum(precisions.tolist()) / len(positives)
@@ -145,12 +218,38 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
             for rid in np.unique(test.facts[:, 0]).tolist()]
 
 
+def _score(scores: np.ndarray, chunks, relations: np.ndarray) -> bool:
+    """Fill `scores` from the effective-tuple `chunks`, in row order, times
+    `relations` (k x block); False if the scores hold a NaN."""
+    lo = 0
+    for chunk in chunks:
+        np.matmul(chunk, relations, out=scores[lo:lo + len(chunk)])
+        lo += len(chunk)
+    return not np.isnan(scores.max())  # max propagates NaN and allocates no mask
+
+
+def _certified_aps(scores, block, tols, own) -> list[float] | None:
+    """The APs of `block` from its ranking-sigmoid `scores`, column j with
+    tolerance `tols[j]`, `own(relation, positives)` giving the positives'
+    exact scores; None as soon as one relation is undecided."""
+    aps = []
+    for j, task in enumerate(block):
+        ap = _average_precision(scores[:, j], task, tols[j], partial(own, task.relation))
+        if ap is None:
+            return None
+        aps.append(ap)
+    return aps
+
+
 def weighted_map(tasks, params: ModelParams, variant: str):
     """Weighted mean average precision plus the per-relation table.
 
-    Weighted by each relation's test-fact count; order of tasks does not
-    affect the result beyond float summation of independent terms. A task
-    with no positive scores 0.0; ValueError if no task holds one.
+    Weighted by each relation's test-fact count. The rows are summed after
+    they are sorted by (-n_test, relation), so the order of tasks changes
+    the result only through an AP ranked exactly at a near tie, where the
+    BLAS may sum a relation's scores in another order at another place in
+    its block (see the module docstring). A task with no positive scores
+    0.0; ValueError if no task holds one.
     """
     tasks = list(tasks)
     if not tasks:
@@ -159,8 +258,21 @@ def weighted_map(tasks, params: ModelParams, variant: str):
         raise ValueError("no ranking task holds a positive")
     n, k = params.tuple_pre.shape
     step = max(CHUNK // k, 1)
-    offsets = range(0, n, step)
-    chunks = (model.effective_tuples(params, variant, slice(lo, lo + step)) for lo in offsets)
+
+    def stream(effective):
+        return (effective(slice(lo, lo + step)) for lo in range(0, n, step))
+
+    def exact(rows):
+        return model.effective_tuples(params, variant, rows)
+
+    def own(relation, positives):
+        return exact(positives) @ params.relations[relation]
+
+    certify = variant != "f"
+    if certify:
+        chunks = stream(lambda rows: _ranking_sigmoid(params.tuple_pre[rows]))
+    else:
+        chunks = stream(exact)
     if len(tasks) > BLOCK:  # later blocks reuse the chunks
         chunks = list(chunks)
     buffer = np.empty(n * min(BLOCK, len(tasks)))
@@ -169,13 +281,19 @@ def weighted_map(tasks, params: ModelParams, variant: str):
         block = tasks[start:start + BLOCK]
         relations = params.relations[[task.relation for task in block]].T
         scores = buffer[:n * len(block)].reshape(n, len(block))
-        for lo, chunk in zip(offsets, chunks):
-            np.matmul(chunk, relations, out=scores[lo:lo + step])
-        if np.isnan(scores.max()):  # max propagates NaN and allocates no mask
-            raise DataError("relation scores contain NaN: the model has non-finite parameters")
-        for j, task in enumerate(block):
-            rows.append(RelationAP(task.relation, len(task.positives),
-                                   _average_precision(scores[:, j], task)))
+        aps = None
+        if certify:
+            norms = np.abs(relations).sum(axis=0)
+            if ((NORM_RANGE[0] < norms) & (norms < NORM_RANGE[1])).all() \
+                    and _score(scores, chunks, relations):
+                tols = (4 * k + 66) * 2.0**-53 * norms  # derived in the module docstring
+                aps = _certified_aps(scores, block, tols, own)
+        if aps is None:
+            if not _score(scores, stream(exact) if certify else chunks, relations):
+                raise DataError("relation scores contain NaN: the model has non-finite parameters")
+            aps = [_average_precision(scores[:, j], task) for j, task in enumerate(block)]
+        rows.extend(RelationAP(task.relation, len(task.positives), ap)
+                    for task, ap in zip(block, aps))
     rows.sort(key=lambda r: (-r.n_test, r.relation))
     total = sum(r.n_test for r in rows)
     wmap = sum(r.n_test * r.average_precision for r in rows) / total

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from helpers import brute_force_average_precision
 from liftedkb import evaluation, model, trainer
@@ -23,6 +26,40 @@ def ranked_ap(scores, positives, excluded=()):
     params = ModelParams(np.ones((1, 1)), np.array(scores, dtype=float)[:, None])
     _, rows = weighted_map([task(0, positives, len(scores), excluded)], params, "f")
     return rows[0].average_precision
+
+
+def counting(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper; returns the list of its calls' args."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def exact_chunks(calls, n):
+    """The tuple rows of each exact chunk among `model.effective_tuples` calls:
+    chunks are slices, a task's positives are arrays."""
+    return [np.arange(n)[rows].tolist() for _, _, rows in calls if isinstance(rows, slice)]
+
+
+def force_exact_path(monkeypatch, seen=None):
+    """Make every certified AP undecided, so `weighted_map` rescores every
+    FS/FSL block exactly; `seen` collects the scores each exact AP ranks."""
+    real = evaluation._average_precision
+
+    def exact_only(scores, t, tol=0.0, exact_own=None):
+        if tol:
+            return None
+        if seen is not None:
+            seen[t.relation] = scores.copy()
+        return real(scores, t)
+
+    monkeypatch.setattr(evaluation, "_average_precision", exact_only)
 
 
 def oracle_ap(params, variant, t):
@@ -102,7 +139,7 @@ class TestWeightedMap:
         tasks = [task(r, {r, r + 3}, 6) for r in range(3)]
         w1, _ = weighted_map(tasks, params, "fs")
         w2, _ = weighted_map(list(reversed(tasks)), params, "fs")
-        assert w1 == pytest.approx(w2, rel=1e-15)
+        assert w1 == w2
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -173,24 +210,22 @@ class TestRankingKernel:
 
     @pytest.mark.parametrize("n_rel", [1, 64, 65, 200])
     def test_effective_tuples_once_per_call(self, monkeypatch, n_rel):
-        # each tuple row passes through effective_tuples exactly once per
-        # call, whatever the number of blocks: the chunk slices cover 0..n
-        # once (CHUNK = 12 at k = 3 makes chunks of 4, 4 and 2 rows)
-        calls = []
-        real = model.effective_tuples
-
-        def counting(*args, **kwargs):
-            calls.append(args[1:])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model, "effective_tuples", counting)
+        # each tuple row passes through the ranking sigmoid exactly once per
+        # call, whatever the number of blocks: its chunks cover the rows once,
+        # in order (CHUNK = 12 at k = 3 makes chunks of 4, 4 and 2 rows). No
+        # score is near a tie, so no block is rescored, and effective_tuples
+        # sees each task's positives once and nothing else
+        sigmoid_calls = counting(monkeypatch, evaluation, "_ranking_sigmoid")
+        exact_calls = counting(monkeypatch, model, "effective_tuples")
         monkeypatch.setattr(evaluation, "CHUNK", 12)
         rng = np.random.default_rng(3)
         params = ModelParams(rng.normal(size=(n_rel, 3)), rng.normal(size=(10, 3)))
         weighted_map([task(r, {r % 10}, 10) for r in range(n_rel)], params, "fs")
-        assert [variant for variant, _ in calls] == ["fs"] * 3
-        assert np.concatenate([np.arange(10)[rows] for _, rows in calls]).tolist() == \
-            list(range(10))
+        assert [len(pre) for pre, in sigmoid_calls] == [4, 4, 2]
+        assert np.array_equal(np.concatenate([pre for pre, in sigmoid_calls]),
+                              params.tuple_pre)
+        assert [(variant, rows.tolist()) for _, variant, rows in exact_calls] == \
+            [("fs", [r % 10]) for r in range(n_rel)]
 
     # (variant, CHUNK, tuples, k, relations): a ragged last chunk in one
     # block and in three; k > CHUNK, where a chunk is one row; the shipped
@@ -217,16 +252,11 @@ class TestRankingKernel:
     def test_chunked_scores_equal_whole_product(self, monkeypatch, variant, chunk, n_tup,
                                                 k, n_rel):
         # every chunk of every block lands in its own rows: with exact
-        # arithmetic the scores the AP sees are the whole product's, bit for bit
+        # arithmetic the scores the exact path ranks are the whole product's,
+        # bit for bit (FS is forced onto that path)
         params, tasks = self._chunked_case(monkeypatch, chunk, n_tup, k, n_rel, exact=True)
         seen = {}
-        real = evaluation._average_precision
-
-        def capture(scores, t):
-            seen[t.relation] = scores.copy()
-            return real(scores, t)
-
-        monkeypatch.setattr(evaluation, "_average_precision", capture)
+        force_exact_path(monkeypatch, seen)
         weighted_map(tasks, params, variant)
         whole = model.effective_tuples(params, variant) @ params.relations.T
         assert sorted(seen) == list(range(n_rel))
@@ -261,6 +291,126 @@ class TestRankingKernel:
         params = ModelParams(np.ones((1, 1)), np.array([[1.0], [np.nan]]))
         with pytest.raises(DataError, match="NaN"):
             weighted_map([task(0, {0}, 2)], params, "f")
+
+
+class TestCertifiedRanking:
+    """FS and FSL rank from `_ranking_sigmoid` scores where the module
+    docstring's bound certifies the exact rank, and rescore exactly elsewhere."""
+
+    def test_sigmoid_within_bound_of_expit(self):
+        rng = np.random.default_rng(31)
+        special = [0.0, 1e-300, 709.78, 745.2, 800.0, np.inf]
+        x = np.concatenate([rng.normal(scale=scale, size=1 << 18) for scale in (1, 5, 40, 300)]
+                           + [special, np.negative(special), [np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            approximate = evaluation._ranking_sigmoid(x)
+        reference = sigmoid(x)
+        assert np.array_equal(np.isnan(approximate), np.isnan(reference))
+        finite = ~np.isnan(reference)
+        assert np.abs(approximate[finite] - reference[finite]).max() <= evaluation.SIGMOID_ERROR
+
+    @staticmethod
+    def _near_tie_model(case, n_rel):
+        """k = 2, relation components powers of two, so every score is exact
+        in any summation order; row 5 ties with row 3, or nearly does."""
+        rng = np.random.default_rng(32)
+        pre = rng.normal(size=(12, 2))
+        if case == "repeat":
+            pre[5] = pre[3]
+        elif case == "ulp":
+            pre[5] = pre[3]
+            pre[5, 0] = np.nextafter(pre[3, 0], np.inf)
+        else:  # saturate: the first component's sigmoid is exactly 1 in both rows
+            pre[3, 0], pre[5, 0] = 800.0, 40.0
+            pre[5, 1] = pre[3, 1]
+        relations = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], (n_rel, 2))
+        tasks = [task(r, {5, int(rng.integers(6, 12))}, 12, rng.choice(3, 1).tolist())
+                 for r in range(n_rel)]
+        return ModelParams(relations, pre), tasks
+
+    @pytest.mark.parametrize("variant", ["fs", "fsl"])
+    @pytest.mark.parametrize("case", ["repeat", "ulp", "saturate"])
+    def test_near_ties_rescore_exactly(self, monkeypatch, variant, case):
+        # 70 relations make two blocks; each holds a positive whose window
+        # holds row 3, so each is rescored from one pass of exact chunks
+        params, tasks = self._near_tie_model(case, 70)
+        monkeypatch.setattr(evaluation, "CHUNK", 10)
+        with monkeypatch.context() as m:
+            calls = counting(m, model, "effective_tuples")
+            wmap, rows = weighted_map(tasks, params, variant)
+        assert exact_chunks(calls, 12) == [list(range(0, 5)), list(range(5, 10)), [10, 11]] * 2
+        expected = {t.relation: oracle_ap(params, variant, t) for t in tasks}
+        assert {row.relation: row.average_precision for row in rows} == expected
+        force_exact_path(monkeypatch)
+        assert weighted_map(tasks, params, variant) == (wmap, rows)
+
+    @pytest.mark.parametrize("variant", ["fs", "fsl"])
+    def test_bound_holds_for_any_sigmoid_within_it(self, monkeypatch, variant):
+        # a ranking sigmoid 48u low on the positive's row and 48u high on
+        # every other: row 0 scores one ulp below the positive, row 1, but its
+        # approximate score lands 47u above. The window around the positive's
+        # exact score holds it, so the block is rescored: rank 3, behind the
+        # rows 4 and 5, not 4
+        u = 2.0**-53
+        x = 1.0
+        below = np.nextafter(x, -np.inf)
+        while sigmoid(below) == sigmoid(x):
+            below = np.nextafter(below, -np.inf)
+        assert sigmoid(x) - sigmoid(below) == u  # both lie in [0.5, 1)
+        params = ModelParams(np.ones((1, 1)), np.array([[below], [x], [-3.0], [-2.0],
+                                                        [2.0], [3.0]]))
+        monkeypatch.setattr(evaluation, "_ranking_sigmoid",
+                            lambda pre: sigmoid(pre) + np.where(pre == x, -48 * u, 48 * u))
+        t = task(0, {1}, 6)
+        _, rows = weighted_map([t], params, variant)
+        assert rows[0].average_precision == oracle_ap(params, variant, t) == 1 / 3
+
+    @pytest.mark.parametrize("variant", ["fs", "fsl"])
+    def test_trained_models_rescore_nothing(self, monkeypatch, variant):
+        # the certificate decides every relation of a trained model: a
+        # tolerance so wide that it always rescores would fail here
+        corpus = clustered_corpus(seed=5)
+        split = holdout_split(corpus.store, 0.2, seed=5)
+        result = trainer.train(split.train, corpus.rules, ModelConfig(k=16, variant=variant),
+                               TrainOptions(epochs=10, batch_size=256, learning_rate=0.05,
+                                            seed=5))
+        tasks = build_tasks(split.train, split.test)
+        with monkeypatch.context() as m:
+            calls = counting(m, model, "effective_tuples")
+            certified = weighted_map(tasks, result.params, variant)
+        assert exact_chunks(calls, len(split.train.tuples)) == []
+        assert len(calls) == sum(bool(t.positives) for t in tasks)
+        force_exact_path(monkeypatch)
+        assert certified == weighted_map(tasks, result.params, variant)
+
+    @pytest.mark.parametrize("component", [np.inf, -np.inf])
+    def test_infinite_relation_takes_exact_path(self, monkeypatch, component):
+        # the whole block is scored exactly, and the ranking sigmoid never runs
+        rng = np.random.default_rng(33)
+        params = ModelParams(np.array([[component, 1.0], [0.5, -1.0]]), rng.normal(size=(6, 2)))
+        tasks = [task(0, {2, 4}, 6), task(1, {1}, 6)]
+        sigmoid_calls = counting(monkeypatch, evaluation, "_ranking_sigmoid")
+        calls = counting(monkeypatch, model, "effective_tuples")
+        _, rows = weighted_map(tasks, params, "fs")
+        assert sigmoid_calls == []
+        assert exact_chunks(calls, 6) == [list(range(6))]
+        assert [row.average_precision for row in rows] == \
+            [oracle_ap(params, "fs", t) for t in tasks]
+
+    @pytest.mark.parametrize("where", ["relations", "tuple_pre"])
+    def test_nan_parameters_are_data_error(self, where):
+        params = ModelParams(np.ones((1, 2)), np.ones((3, 2)))
+        getattr(params, where)[0, 1] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            weighted_map([task(0, {1}, 3)], params, "fs")
+
+    def test_positive_errors_are_those_of_the_exact_path(self):
+        params = ModelParams(np.ones((4, 1)), np.arange(5.0)[:, None])
+        with pytest.raises(DataError, match=r"relation 0: positive tuple ids outside 0\.\.4$"):
+            weighted_map([task(0, {7}, 5)], params, "fs")
+        with pytest.raises(DataError, match=r"relation 3: 2 test tuple\(s\) .*: 1, 4$"):
+            weighted_map([task(3, {0, 1, 4}, 5, excluded={1, 2, 4})], params, "fs")
 
 
 class TestBuildTasks:
