@@ -323,11 +323,11 @@ def save_rules(path, rules, relations: Vocab) -> None:
 class DatasetSplit:
     train: FactStore
     test: FactStore
-    test_relations: list[tuple[int, int]]  # (relation id, test fact count)
 
 
 def holdout_split(store: FactStore, test_fraction: float, seed: int) -> DatasetSplit:
-    """Per-relation stratified holdout; deterministic under a fixed seed.
+    """Per-relation stratified holdout into train and test stores;
+    deterministic under a fixed seed.
 
     Relations with a single fact stay entirely in train. Train and test
     share the store's vocabularies, so ids are stable across the split.
@@ -347,7 +347,4 @@ def holdout_split(store: FactStore, test_fraction: float, seed: int) -> DatasetS
         if n_test == 0:
             continue
         in_test[positions[rng.choice(n, size=n_test, replace=False)]] = True
-    test = store.subset(in_test)
-    counts = np.bincount(test.facts[:, 0], minlength=len(store.relations))
-    test_relations = [(rid, count) for rid, count in enumerate(counts.tolist()) if count]
-    return DatasetSplit(train=store.subset(~in_test), test=test, test_relations=test_relations)
+    return DatasetSplit(train=store.subset(~in_test), test=store.subset(in_test))

@@ -16,7 +16,9 @@ whose score is tied).
 
 For FS and FSL the stream holds `_ranking_sigmoid`, numpy's
 `1 / (1 + exp(-x))`, in place of scipy's `expit`, which is most of the cost
-of ranking. The two differ by at most 2u (u = 2^-53) in every value measured,
+of ranking where numpy vectorises `exp` (AVX-512). Without AVX-512 numpy's
+`exp` is libm's: the two sigmoids agree bit for bit, and this one costs
+10-16% more. They differ by at most 2u (u = 2^-53) in every value measured,
 on both of CI's CPU paths; `SIGMOID_ERROR` = 64u allows 32 times that. A rank
 needs only the order of the exact scores, and the approximate ones certify
 it away from near ties:

@@ -794,3 +794,80 @@ class TestManifest:
         assert f"needs the directory {folder}, which {problem}" in err[0]
         assert commands_run == []
         assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+
+
+# names that CSV quoting, the rule arrow or a careless ASCII parser could
+# mangle; `x,"y"` is both a relation and a tuple
+HOSTILE_RELATIONS = ["born,in", 'said:"hi"', "o'neil#1", "a|b=>c", "café", "rel１２", 'x,"y"']
+HOSTILE_TUPLES = ['"Paris","France"', "#7", "l'été", "１２３", "p|q", "=>", 'x,"y"', "Ωmega",
+                  "t'#,", "ｆｕｌｌ"]
+HOSTILE_RULES = [("born,in", "a|b=>c"), ("café", "rel１２"), ('said:"hi"', 'x,"y"'),
+                 ("o'neil#1", "born,in")]
+
+
+class TestHostileNames:
+    """Hostile names round-trip through train, eval and analyze: every CSV
+    parses back to the names that went in, and every manifest lists exactly
+    the files its run read and wrote."""
+
+    @pytest.fixture()
+    def hostile_dir(self, tmp_path, monkeypatch):
+        # relation i trains on five consecutive tuples, so every tuple is in
+        # the train file, and is tested on the next two
+        n = len(HOSTILE_TUPLES)
+        train = [(rel, HOSTILE_TUPLES[(i + j) % n])
+                 for i, rel in enumerate(HOSTILE_RELATIONS) for j in range(5)]
+        test = [(rel, HOSTILE_TUPLES[(i + j) % n])
+                for i, rel in enumerate(HOSTILE_RELATIONS) for j in (5, 6)]
+        for name, facts in (("train.tsv", train), ("test.tsv", test)):
+            (tmp_path / name).write_text("".join(f"{r}\t{t}\n" for r, t in facts),
+                                         encoding="utf-8")
+        (tmp_path / "rules.tsv").write_text(
+            "".join(f"{a}\t=>\t{c}\n" for a, c in HOSTILE_RULES), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def run(argv, manifest, inputs, outputs):
+        before = {str(p) for p in Path().rglob("*") if p.is_file()}
+        assert main(argv) == 0
+        written = {str(p) for p in Path().rglob("*") if p.is_file()} - before
+        assert written == {*outputs, manifest}
+        record = json.loads(Path(manifest).read_text(encoding="utf-8"))
+        assert record["inputs"] == {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                                    for path in inputs}
+        assert record["outputs"] == outputs
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    @pytest.mark.parametrize("variant", ["f", "fs", "fsl"])
+    def test_csv_and_manifest_round_trip(self, hostile_dir, variant):
+        rules = ["--rules", "rules.tsv"]
+        train_rules = rules if variant == "fsl" else []
+        self.run(["train", "--facts", "train.tsv", *train_rules, "--variant", variant,
+                  "--k", "2", "--epochs", "1", "--out", "run"], "run/manifest.json",
+                 ["train.tsv", *train_rules[1:]], ["run/checkpoint.txt", "run/metrics.csv"])
+        ckpt = ["--checkpoint", "run/checkpoint.txt"]
+        _, relations, tuples, _ = liftedkb.model.load_embeddings("run/checkpoint.txt")
+        assert (relations, tuples) == (HOSTILE_RELATIONS, HOSTILE_TUPLES)
+
+        self.run(["eval", *ckpt, "--test", "test.tsv", "--train-facts", "train.tsv",
+                  "--out", "eval.csv"], "eval.csv.manifest.json",
+                 ["run/checkpoint.txt", "test.tsv", "train.tsv"], ["eval.csv"])
+        assert [row[0] for row in self.rows("eval.csv")] == [
+            "relation", *HOSTILE_RELATIONS, "WEIGHTED_MAP"]
+
+        self.run(["analyze", "asymmetry", *ckpt, *rules, "--train-facts", "train.tsv",
+                  "--out", "asym.csv"], "asym.csv.manifest.json",
+                 ["run/checkpoint.txt", "rules.tsv", "train.tsv"], ["asym.csv"])
+        assert [tuple(row[:2]) for row in self.rows("asym.csv")] == [
+            ("antecedent", "consequent"), *HOSTILE_RULES, ("GRAND_MEAN", "")]
+
+        self.run(["analyze", "matrix", *ckpt, *rules, "--out", "matrix.csv"],
+                 "matrix.csv.manifest.json", ["run/checkpoint.txt", "rules.tsv"], ["matrix.csv"])
+        header = self.rows("matrix.csv")[0]
+        involved = {name for rule in HOSTILE_RULES for name in rule}
+        assert header[0] == "dimension" and sorted(header[1:]) == sorted(involved)
