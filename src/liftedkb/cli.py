@@ -10,8 +10,9 @@ its `--out` directory and any missing parents, so there the nearest existing
 one of `--out` and its parents must be a directory). The `cmd_*` writes the
 outputs (CSV per RFC 4180, a rule file or the text checkpoint format), then
 `main` writes the JSON run manifest: resolved flags, the SHA-256 of each
-input file, outputs. Reruns with identical inputs and flags are
-byte-identical except for recorded wall-clock fields.
+input file, the Python, numpy and scipy versions, outputs. Reruns with
+identical inputs and flags are byte-identical except for recorded wall-clock
+fields.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, a path that is
 missing or names the wrong kind of file, a file the run would write that is
@@ -26,11 +27,13 @@ import csv
 import hashlib
 import json
 import logging
+import platform
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, evaluation, mining, model, trainer
 from .data import (RESERVED_RELATIONS, FactStore, load_facts, load_facts_with_vocab,
@@ -74,9 +77,12 @@ def _written_files(args) -> list[Path]:
 
 
 def write_manifest(path, args, outputs: list):
-    """JSON run manifest: the command, flags and input digests of `args`, and `outputs`."""
+    """JSON run manifest: the command, flags and input digests of `args`, the
+    Python, numpy and scipy versions, and `outputs`."""
     manifest = {
         "engine_version": __version__,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__},
         "command": " ".join(filter(None, (args.command, getattr(args, "mode", None)))),
         "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {str(p): _sha256(p) for p in _input_files(args).values()},

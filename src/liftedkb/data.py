@@ -213,8 +213,9 @@ def _raise_bad_fact_line(path, text: str):
 def _read_fact_names(path) -> tuple[str, list[str]]:
     """A fact file's text and its names in order: relation, tuple, relation,
     tuple, ... over the non-blank lines. If a line holds other than one tab,
-    or an empty name, the first bad line of any kind is an error."""
-    with open(path, encoding="utf-8") as fh:
+    or an empty name, the first bad line of any kind is an error. A leading
+    UTF-8 byte order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     lines = list(filter(None, text.split("\n")))
     if not lines:
@@ -268,8 +269,9 @@ class Rule:
 
 def read_lines(path):
     """Stream `(line number, line)` for each line of a UTF-8 text file that
-    holds more than whitespace, the newline removed; the skipped lines count."""
-    with open(path, encoding="utf-8") as fh:
+    holds more than whitespace, the newline removed; the skipped lines count.
+    A leading byte order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():
                 yield lineno, line.rstrip("\n")

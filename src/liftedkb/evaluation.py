@@ -24,24 +24,25 @@ needs only the order of the exact scores, and the approximate ones certify
 it away from near ties:
 
 - Let e_q be a tuple's `expit` values and a_q its ranking-sigmoid values,
-  all in [0, 1], and r the relation. Three dot products enter a rank: the
-  approximate pool score A_q = fl(a_q . r), the exact pool score
-  S_q = fl(e_q . r) that exact ranking compares, and the positive's own
-  score o_p = fl(e_p . r), from its own `expit` rows. Each is within
-  gamma_k ||r||_1 of its exact value, gamma_k = ku / (1 - ku), because its
-  k terms are products with values in [0, 1]. That holds in any summation
-  order, with or without FMA, while nothing underflows or overflows.
+  all in [0, 1], and r the relation. Two dot products enter a rank: the
+  approximate pool score A_q = fl(a_q . r), which certified ranking
+  compares, and the exact pool score S_q = fl(e_q . r), which exact ranking
+  compares. Each is within gamma_k ||r||_1 of its exact value,
+  gamma_k = ku / (1 - ku), because its k terms are products with values in
+  [0, 1]. That holds in any summation order, with or without FMA, while
+  nothing underflows or overflows.
 - The exact values of a_q . r and e_q . r differ by at most
-  SIGMOID_ERROR ||r||_1 = 64u ||r||_1. So
-  S_q - S_p >= A_q - o_p - (4 gamma_k + 64u) ||r||_1, and
-  S_q - S_p <= A_q - o_p + (4 gamma_k + 64u) ||r||_1.
-- The tolerance is tol = (4k + 66) u ||r||_1. Its last 2u ||r||_1 covers
-  4 gamma_k - 4ku and the rounding of ||r||_1, of tol and of o_p +- tol,
-  for any k that fits in memory.
+  SIGMOID_ERROR ||r||_1 = 64u ||r||_1, so
+  |A_q - S_q| <= (2 gamma_k + 64u) ||r||_1. For a positive p, then,
+  S_q - S_p >= A_q - A_p - (4 gamma_k + 128u) ||r||_1, and
+  S_q - S_p <= A_q - A_p + (4 gamma_k + 128u) ||r||_1.
+- The tolerance is tol = (4k + 130) u ||r||_1. Its last 2u ||r||_1 covers
+  4 gamma_k - 4ku and the rounding of ||r||_1, of tol and of A_p +- tol,
+  for any k up to 2^24.
 
-So a pool score above o_p + tol belongs to a tuple whose exact score beats
-the positive's, and one below o_p - tol to a tuple it beats. When each
-positive's window [o_p - tol, o_p + tol] holds exactly one pool score, its
+So a pool score above A_p + tol belongs to a tuple whose exact score beats
+the positive's, and one below A_p - tol to a tuple it beats. When each
+positive's window [A_p - tol, A_p + tol] holds exactly one pool score, its
 own, no exact score ties or crosses the positive's, and the rank is 1 plus
 the number of pool scores above the window: the exact rank, so the AP has
 the exact path's bits. Otherwise the relation is undecided, and its block is
@@ -67,7 +68,6 @@ within that bit of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -144,15 +144,14 @@ def _ranking_sigmoid(pre: np.ndarray) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _average_precision(scores: np.ndarray, task: RankingTask, tol: float = 0.0,
-                       exact_own=None) -> float | None:
+def _average_precision(scores: np.ndarray, task: RankingTask,
+                       tol: float = 0.0) -> float | None:
     """AP of `task.positives` in its pool ranked by `scores` (one per tuple).
 
     With `tol` 0 the scores are exact and ties go by ascending tuple id. With
-    `tol` > 0 they are the ranking sigmoid's, `exact_own(positives)` gives the
-    sorted positives' exact scores, and the AP is certified as the module
-    docstring derives; None means undecided: some positive's window
-    [own - tol, own + tol] holds another pool score, or not its own.
+    `tol` > 0 they are the ranking sigmoid's, and the AP is certified as the
+    module docstring derives; None means undecided: some positive's window
+    [own - tol, own + tol] around its own score holds another pool score.
 
     Precisions `hits / rank` are summed in rank order with Python `sum`, so
     the value is the one a walk down the full ranking would give, bit for bit.
@@ -174,22 +173,15 @@ def _average_precision(scores: np.ndarray, task: RankingTask, tol: float = 0.0,
         raise DataError(f"relation {task.relation}: {clash.size} test tuple(s) are also "
                         f"training tuples and so not in the pool: {shown}")
     pool = np.sort(scores[in_pool])
-    if tol:
-        own = exact_own(positives)
-        low, high = own - tol, own + tol
-        upper = np.searchsorted(pool, high, side="right")
-        approximate = scores[positives]
-        if ((upper - np.searchsorted(pool, low, side="left") != 1).any()
-                or not ((low <= approximate) & (approximate <= high)).all()):
-            return None
-        ranks = 1 + len(pool) - upper
-    else:
-        own = scores[positives]
-        upper = np.searchsorted(pool, own, side="right")
-        ranks = 1 + len(pool) - upper
-        for i in np.flatnonzero(upper - np.searchsorted(pool, own, side="left") > 1):
-            before = positives[i]
-            ranks[i] += np.count_nonzero(scores[:before][in_pool[:before]] == own[i])
+    own = scores[positives]
+    upper = np.searchsorted(pool, own + tol, side="right")
+    crowded = upper - np.searchsorted(pool, own - tol, side="left") > 1
+    ranks = 1 + len(pool) - upper
+    if tol and crowded.any():
+        return None
+    for i in np.flatnonzero(crowded):  # exact ties, with tol 0: earlier ids rank first
+        before = positives[i]
+        ranks[i] += np.count_nonzero(scores[:before][in_pool[:before]] == own[i])
     ranks.sort()
     precisions = np.arange(1, len(ranks) + 1) / ranks
     return sum(precisions.tolist()) / len(positives)
@@ -230,19 +222,6 @@ def _score(scores: np.ndarray, chunks, relations: np.ndarray) -> bool:
     return not np.isnan(scores.max())  # max propagates NaN and allocates no mask
 
 
-def _certified_aps(scores, block, tols, own) -> list[float] | None:
-    """The APs of `block` from its ranking-sigmoid `scores`, column j with
-    tolerance `tols[j]`, `own(relation, positives)` giving the positives'
-    exact scores; None as soon as one relation is undecided."""
-    aps = []
-    for j, task in enumerate(block):
-        ap = _average_precision(scores[:, j], task, tols[j], partial(own, task.relation))
-        if ap is None:
-            return None
-        aps.append(ap)
-    return aps
-
-
 def weighted_map(tasks, params: ModelParams, variant: str):
     """Weighted mean average precision plus the per-relation table.
 
@@ -267,9 +246,6 @@ def weighted_map(tasks, params: ModelParams, variant: str):
     def exact(rows):
         return model.effective_tuples(params, variant, rows)
 
-    def own(relation, positives):
-        return exact(positives) @ params.relations[relation]
-
     certify = variant != "f"
     if certify:
         chunks = stream(lambda rows: _ranking_sigmoid(params.tuple_pre[rows]))
@@ -288,9 +264,10 @@ def weighted_map(tasks, params: ModelParams, variant: str):
             norms = np.abs(relations).sum(axis=0)
             if ((NORM_RANGE[0] < norms) & (norms < NORM_RANGE[1])).all() \
                     and _score(scores, chunks, relations):
-                tols = (4 * k + 66) * 2.0**-53 * norms  # derived in the module docstring
-                aps = _certified_aps(scores, block, tols, own)
-        if aps is None:
+                tols = (4 * k + 130) * 2.0**-53 * norms  # derived in the module docstring
+                aps = [_average_precision(scores[:, j], task, tols[j])
+                       for j, task in enumerate(block)]
+        if aps is None or None in aps:
             if not _score(scores, stream(exact) if certify else chunks, relations):
                 raise DataError("relation scores contain NaN: the model has non-finite parameters")
             aps = [_average_precision(scores[:, j], task) for j, task in enumerate(block)]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import liftedkb
 from liftedkb import cli
@@ -712,6 +714,8 @@ class TestManifest:
         assert _manifests(workdir) - before == {manifest}
         record = json.loads((workdir / manifest).read_text(encoding="utf-8"))
         assert record["command"] == command
+        assert record["environment"] == {"python": platform.python_version(),
+                                         "numpy": np.__version__, "scipy": scipy.__version__}
         assert record["inputs"] == {path: hashlib.sha256((workdir / path).read_bytes())
                                     .hexdigest() for path in inputs}
         assert record["outputs"] == outputs

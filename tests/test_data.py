@@ -527,6 +527,22 @@ def test_shared_reader_counts_skipped_lines(tmp_path, case):
     assert load(path) == loaded
 
 
+# (file text, loader) for each kind of input file
+BOM_CASES = {"facts": ("r\ta|b\nr\tc|d\nq\ta|b\n", lambda path: outcome(load_facts, path))}
+BOM_CASES.update((case, ("\n".join(before + after) + "\n", load))
+                 for case, (before, after, _, load, _) in SHARED_READER_CASES.items())
+
+
+@pytest.mark.parametrize("case", BOM_CASES)
+def test_leading_byte_order_mark_is_dropped(tmp_path, case):
+    """A file that starts with a UTF-8 byte order mark loads as its twin
+    without one: the mark does not become part of the first name."""
+    text, load = BOM_CASES[case]
+    plain = write(tmp_path, "plain.txt", text)
+    marked = write(tmp_path, "marked.txt", "\ufeff" + text)
+    assert load(marked) == load(plain)
+
+
 class TestHoldoutSplit:
     def make_store(self, n_facts_per_rel):
         pairs = []

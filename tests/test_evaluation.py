@@ -42,9 +42,8 @@ def counting(monkeypatch, module, name):
 
 
 def exact_chunks(calls, n):
-    """The tuple rows of each exact chunk among `model.effective_tuples` calls:
-    chunks are slices, a task's positives are arrays."""
-    return [np.arange(n)[rows].tolist() for _, _, rows in calls if isinstance(rows, slice)]
+    """The tuple rows of each `model.effective_tuples` call: exact chunks."""
+    return [np.arange(n)[rows].tolist() for _, _, rows in calls]
 
 
 def force_exact_path(monkeypatch, seen=None):
@@ -52,7 +51,7 @@ def force_exact_path(monkeypatch, seen=None):
     FS/FSL block exactly; `seen` collects the scores each exact AP ranks."""
     real = evaluation._average_precision
 
-    def exact_only(scores, t, tol=0.0, exact_own=None):
+    def exact_only(scores, t, tol=0.0):
         if tol:
             return None
         if seen is not None:
@@ -214,7 +213,7 @@ class TestRankingKernel:
         # call, whatever the number of blocks: its chunks cover the rows once,
         # in order (CHUNK = 12 at k = 3 makes chunks of 4, 4 and 2 rows). No
         # score is near a tie, so no block is rescored, and effective_tuples
-        # sees each task's positives once and nothing else
+        # is never called
         sigmoid_calls = counting(monkeypatch, evaluation, "_ranking_sigmoid")
         exact_calls = counting(monkeypatch, model, "effective_tuples")
         monkeypatch.setattr(evaluation, "CHUNK", 12)
@@ -224,8 +223,7 @@ class TestRankingKernel:
         assert [len(pre) for pre, in sigmoid_calls] == [4, 4, 2]
         assert np.array_equal(np.concatenate([pre for pre, in sigmoid_calls]),
                               params.tuple_pre)
-        assert [(variant, rows.tolist()) for _, variant, rows in exact_calls] == \
-            [("fs", [r % 10]) for r in range(n_rel)]
+        assert exact_calls == []
 
     # (variant, CHUNK, tuples, k, relations): a ragged last chunk in one
     # block and in three; k > CHUNK, where a chunk is one row; the shipped
@@ -347,11 +345,12 @@ class TestCertifiedRanking:
 
     @pytest.mark.parametrize("variant", ["fs", "fsl"])
     def test_bound_holds_for_any_sigmoid_within_it(self, monkeypatch, variant):
-        # a ranking sigmoid 48u low on the positive's row and 48u high on
-        # every other: row 0 scores one ulp below the positive, row 1, but its
-        # approximate score lands 47u above. The window around the positive's
-        # exact score holds it, so the block is rescored: rank 3, behind the
-        # rows 4 and 5, not 4
+        # a ranking sigmoid the full SIGMOID_ERROR = 64u low on the positive's
+        # row and 64u high on every other: row 0 scores one ulp below the
+        # positive, row 1, but its approximate score lands 127u above. The
+        # window (4k + 130)u = 134u around the positive's approximate score
+        # holds it, so the block is rescored: rank 3, behind the rows 4 and 5,
+        # not 4. A window of (4k + 66)u would miss it and certify AP 1/4
         u = 2.0**-53
         x = 1.0
         below = np.nextafter(x, -np.inf)
@@ -361,7 +360,7 @@ class TestCertifiedRanking:
         params = ModelParams(np.ones((1, 1)), np.array([[below], [x], [-3.0], [-2.0],
                                                         [2.0], [3.0]]))
         monkeypatch.setattr(evaluation, "_ranking_sigmoid",
-                            lambda pre: sigmoid(pre) + np.where(pre == x, -48 * u, 48 * u))
+                            lambda pre: sigmoid(pre) + np.where(pre == x, -64 * u, 64 * u))
         t = task(0, {1}, 6)
         _, rows = weighted_map([t], params, variant)
         assert rows[0].average_precision == oracle_ap(params, variant, t) == 1 / 3
@@ -380,7 +379,6 @@ class TestCertifiedRanking:
             calls = counting(m, model, "effective_tuples")
             certified = weighted_map(tasks, result.params, variant)
         assert exact_chunks(calls, len(split.train.tuples)) == []
-        assert len(calls) == sum(bool(t.positives) for t in tasks)
         force_exact_path(monkeypatch)
         assert certified == weighted_map(tasks, result.params, variant)
 
