@@ -1,6 +1,5 @@
 """`python -m liftedkb` runs the command-line interface."""
 
-from .cli import entrypoint
+from .cli import main
 
-if __name__ == "__main__":
-    entrypoint()
+raise SystemExit(main())

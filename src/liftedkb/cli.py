@@ -343,11 +343,3 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def entrypoint():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -51,8 +51,11 @@ with ties by id, as variant F always is.
 
 A block is scored exactly from the start when some relation's ||r||_1 lies
 outside `NORM_RANGE`: it is not finite, or so small or large that underflow
-or overflow voids the bound. It is also rescored when its approximate scores
-hold a NaN, so the NaN `DataError` fires exactly where exact scores hold one.
+or overflow voids the bound. Inside it every relation is finite and every
+|a_i r_i| <= ||r||_1 < 2^900: no product or partial sum overflows, and no
+product is inf * 0. Both sigmoids are NaN exactly where the pre-activation
+is, and both passes make the same `np.matmul` calls, so an approximate score
+is NaN exactly where an exact one would be, and `_score` raises there.
 `expit` stays the reference for every value trained, written or reported;
 the ranking sigmoid only orders scores.
 
@@ -212,14 +215,15 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
             for rid in np.unique(test.facts[:, 0]).tolist()]
 
 
-def _score(scores: np.ndarray, chunks, relations: np.ndarray) -> bool:
+def _score(scores: np.ndarray, chunks, relations: np.ndarray) -> None:
     """Fill `scores` from the effective-tuple `chunks`, in row order, times
-    `relations` (k x block); False if the scores hold a NaN."""
+    `relations` (k x block); DataError if the scores hold a NaN."""
     lo = 0
     for chunk in chunks:
         np.matmul(chunk, relations, out=scores[lo:lo + len(chunk)])
         lo += len(chunk)
-    return not np.isnan(scores.max())  # max propagates NaN and allocates no mask
+    if np.isnan(scores.max()):  # max propagates NaN and allocates no mask
+        raise DataError("relation scores contain NaN: the model has non-finite parameters")
 
 
 def weighted_map(tasks, params: ModelParams, variant: str):
@@ -259,17 +263,15 @@ def weighted_map(tasks, params: ModelParams, variant: str):
         block = tasks[start:start + BLOCK]
         relations = params.relations[[task.relation for task in block]].T
         scores = buffer[:n * len(block)].reshape(n, len(block))
-        aps = None
-        if certify:
-            norms = np.abs(relations).sum(axis=0)
-            if ((NORM_RANGE[0] < norms) & (norms < NORM_RANGE[1])).all() \
-                    and _score(scores, chunks, relations):
-                tols = (4 * k + 130) * 2.0**-53 * norms  # derived in the module docstring
-                aps = [_average_precision(scores[:, j], task, tols[j])
-                       for j, task in enumerate(block)]
-        if aps is None or None in aps:
-            if not _score(scores, stream(exact) if certify else chunks, relations):
-                raise DataError("relation scores contain NaN: the model has non-finite parameters")
+        aps = [None]
+        norms = np.abs(relations).sum(axis=0)
+        if certify and ((NORM_RANGE[0] < norms) & (norms < NORM_RANGE[1])).all():
+            _score(scores, chunks, relations)
+            tols = (4 * k + 130) * 2.0**-53 * norms  # derived in the module docstring
+            aps = [_average_precision(scores[:, j], task, tols[j])
+                   for j, task in enumerate(block)]
+        if None in aps:
+            _score(scores, stream(exact) if certify else chunks, relations)
             aps = [_average_precision(scores[:, j], task) for j, task in enumerate(block)]
         rows.extend(RelationAP(task.relation, len(task.positives), ap)
                     for task, ap in zip(block, aps))

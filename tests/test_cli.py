@@ -15,8 +15,8 @@ import pytest
 import scipy
 
 import liftedkb
-from liftedkb import cli
-from liftedkb.cli import build_parser, entrypoint, main
+from liftedkb import cli, model
+from liftedkb.cli import build_parser, main
 from liftedkb.data import RESERVED_RELATIONS, holdout_split
 from liftedkb.model import ModelConfig
 from liftedkb.synthetic import clustered_corpus
@@ -561,6 +561,20 @@ class TestAnalyzeCommand:
                      "--rules", str(corpus_files["rules"]), f"--fractions={fractions}",
                      "--epochs", "1", "--out", str(tmp_path / "zs.csv")]) == 1
 
+    def test_rules_with_no_known_relation_are_data_errors(self, corpus_files, tmp_path, capsys):
+        ckpt = self.trained(corpus_files, tmp_path)
+        rules = tmp_path / "unknown.tsv"
+        rules.write_text("nowhere\t=>\tnobody\n", encoding="utf-8")
+        runs = {"no rule-involved relations to export":
+                ["analyze", "matrix", "--checkpoint", str(ckpt)],
+                "needs at least one resolvable rule":
+                ["analyze", "zero-shot", "--facts", str(corpus_files["facts"]),
+                 "--test", str(corpus_files["test"]), "--epochs", "1"]}
+        for message, argv in runs.items():
+            capsys.readouterr()
+            assert main(argv + ["--rules", str(rules), "--out", str(tmp_path / "x.csv")]) == 2
+            assert message in capsys.readouterr().err
+
     def test_missing_mode_inputs_usage_error(self, corpus_files, tmp_path):
         assert main(["analyze", "asymmetry", "--rules", str(corpus_files["rules"]),
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -617,22 +631,29 @@ class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
 
-    @pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1)], ids=["help", "none"])
-    def test_entrypoint_exit_code(self, monkeypatch, argv, code):
-        monkeypatch.setattr(sys, "argv", ["liftedkb", *argv])
-        with pytest.raises(SystemExit) as info:
-            entrypoint()
-        assert info.value.code == code
+    def test_non_finite_loss_is_numerical_abort(self, corpus_files, tmp_path, capsys,
+                                                monkeypatch):
+        real = model.recon_l2_gradients
 
-    @pytest.mark.parametrize("module", ["liftedkb", "liftedkb.cli"])
-    def test_python_dash_m_exit_code(self, tmp_path, module):
+        def nan_loss(*args):
+            grads, _, l2 = real(*args)
+            return grads, float("nan"), l2
+
+        monkeypatch.setattr(model, "recon_l2_gradients", nan_loss)
+        out = tmp_path / "run"
+        assert run_train(corpus_files, out, epochs=1) == 3
+        assert capsys.readouterr().err.startswith("numerical abort: non-finite loss at epoch 0")
+        assert not any((out / name).exists()
+                       for name in ("checkpoint.txt", "metrics.csv", "manifest.json"))
+
+    def test_python_dash_m_exit_code(self, tmp_path):
         # a real interpreter, so that the exit code is the one a shell sees
         src = str(Path(liftedkb.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
         def run(*argv):
-            return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+            return subprocess.run([sys.executable, "-m", "liftedkb", *argv], cwd=tmp_path, env=env,
                                   capture_output=True, text=True, timeout=120)
 
         assert run("--help").returncode == 0

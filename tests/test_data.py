@@ -385,6 +385,13 @@ class TestRandomCorpus:
         assert len(random_corpus(2, 2, 4)) == 4
 
 
+class TestClusteredCorpus:
+    def test_more_rules_than_relation_pairs_is_an_error(self):
+        with pytest.raises(ValueError, match="not enough relation pairs"):
+            clustered_corpus(n_clusters=1, relations_per_cluster=5, n_rules=3)
+        assert len(clustered_corpus(n_clusters=1, relations_per_cluster=5, n_rules=2).rules) == 2
+
+
 class TestLoadFactsWithVocab:
     def test_ids_follow_the_given_vocabularies(self, tmp_path):
         path = write(tmp_path, "f.tsv", "a\tx\n\nb\ty\n")

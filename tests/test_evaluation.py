@@ -397,11 +397,19 @@ class TestCertifiedRanking:
             [oracle_ap(params, "fs", t) for t in tasks]
 
     @pytest.mark.parametrize("where", ["relations", "tuple_pre"])
-    def test_nan_parameters_are_data_error(self, where):
+    def test_nan_parameters_are_data_error(self, monkeypatch, where):
         params = ModelParams(np.ones((1, 2)), np.ones((3, 2)))
         getattr(params, where)[0, 1] = np.nan
+        sigmoid_calls = counting(monkeypatch, evaluation, "_ranking_sigmoid")
+        calls = counting(monkeypatch, model, "effective_tuples")
         with pytest.raises(DataError, match="NaN"):
             weighted_map([task(0, {1}, 3)], params, "fs")
+        # a NaN score fails on the certified pass, with no exact rescore; a NaN
+        # relation has a NaN norm, so its block is scored exactly from the start
+        if where == "tuple_pre":
+            assert len(sigmoid_calls) == 1 and calls == []
+        else:
+            assert sigmoid_calls == [] and exact_chunks(calls, 3) == [[0, 1, 2]]
 
     def test_positive_errors_are_those_of_the_exact_path(self):
         params = ModelParams(np.ones((4, 1)), np.arange(5.0)[:, None])
@@ -534,6 +542,15 @@ class TestZeroShot:
                  if t.relation in implied]
         wmap, _ = weighted_map(tasks, plain.params, "fsl")
         assert points[0][1] == wmap
+
+    def test_implied_relations_need_test_facts(self):
+        train = FactStore.from_named_pairs([("p", "a"), ("q", "a"), ("q", "b")])
+        test = FactStore(train.relations, train.tuples, [(0, 1)])  # p b
+        for implied, message in [(set(), "no implied relations given"),
+                                 ({1}, "implied relations have no test facts")]:
+            with pytest.raises(DataError, match=message):
+                zero_shot_sweep(train, test, [], implied, [1.0],
+                                ModelConfig(k=2), TrainOptions(epochs=1))
 
     def test_fractions_must_increase(self):
         store = FactStore.from_named_pairs([("p", "a"), ("q", "a")])

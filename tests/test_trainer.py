@@ -8,7 +8,7 @@ import pytest
 from helpers import adam_update_oracle, sample_negative
 from liftedkb import model, trainer
 from liftedkb.data import FactStore, Rule, Vocab
-from liftedkb.errors import NumericalError
+from liftedkb.errors import DataError, NumericalError
 from liftedkb.model import Gradients, ModelConfig, ModelParams
 from liftedkb.trainer import AdamState, TrainOptions, sample_negatives, train
 from liftedkb.synthetic import clustered_corpus
@@ -358,6 +358,21 @@ class TestTrain:
         assert np.array_equal(result.params.relations, init.relations)
         assert np.array_equal(result.params.tuple_pre, init.tuple_pre)
         assert result.stats == []
+
+    def test_empty_store_is_data_error(self):
+        with pytest.raises(DataError, match="fact store is empty"):
+            train(FactStore(Vocab(["r"]), Vocab(["t"]), []), [], ModelConfig(k=2),
+                  self.options(1))
+
+    def test_fsl_without_rules_trains_fs(self, caplog):
+        store = small_store()
+        with caplog.at_level(logging.WARNING, logger="liftedkb.trainer"):
+            fsl = train(store, [], ModelConfig(k=4, variant="fsl"), self.options(3))
+        assert [r.getMessage() for r in caplog.records] == \
+            ["variant fsl with no rules: training reduces to fs"]
+        fs = train(store, [], ModelConfig(k=4, variant="fs"), self.options(3))
+        assert fsl.params.relations.tobytes() == fs.params.relations.tobytes()
+        assert fsl.params.tuple_pre.tobytes() == fs.params.tuple_pre.tobytes()
 
     def test_bitwise_deterministic(self):
         corpus = clustered_corpus(n_clusters=2, relations_per_cluster=4,
