@@ -14,4 +14,4 @@ class ParseError(DataError):
 
 
 class NumericalError(Exception):
-    """Training hit a non-finite loss or gradient."""
+    """Training hit a floating-point fault, or a non-finite loss or gradient."""

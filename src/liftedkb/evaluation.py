@@ -6,15 +6,16 @@ in training, test positives included). The pool is ranked by score
 descending, ties broken by ascending tuple id, so rankings are reproducible.
 
 `weighted_map` is the one ranking kernel. It scores `BLOCK` relations at a
-time into one reused |T| x `BLOCK` score block from one stream of chunks of
-`CHUNK` effective-tuple values, each computed once per call: a generator with
-one block, so the |T| x k effective-tuple matrix never exists, and a list
-reused by every block otherwise. A positive's rank is 1, plus the number of
-pool scores strictly greater than its own (a sort and `searchsorted`), plus
-the number of pool ties with a smaller tuple id (counted only for positives
-whose score is tied).
+time into one reused |T| x `BLOCK` score block, from chunks of `CHUNK`
+effective-tuple values. With one block each chunk is computed as it is
+scored, so the |T| x k effective-tuple matrix never exists. With more, FS and
+FSL compute one whole ranking-sigmoid array, which every block reads; F's
+exact rows are views of the parameters, so nothing is kept. A positive's
+rank is 1, plus the number of pool scores strictly greater than its own (a
+sort and `searchsorted`), plus the number of pool ties with a smaller tuple
+id (counted only for positives whose score is tied).
 
-For FS and FSL the stream holds `_ranking_sigmoid`, numpy's
+For FS and FSL the chunks hold `_ranking_sigmoid`, numpy's
 `1 / (1 + exp(-x))`, in place of scipy's `expit`, which is most of the cost
 of ranking where numpy vectorises `exp` (AVX-512). Without AVX-512 numpy's
 `exp` is libm's: the two sigmoids agree bit for bit, and this one costs
@@ -82,8 +83,9 @@ from .model import ModelConfig, ModelParams
 
 # Relations scored per matrix product in `weighted_map`: enough for the
 # product to run at matrix-matrix speed, few enough that the one |T| x BLOCK
-# score block stays about the size of the |T| x k effective-tuple matrix,
-# whose chunks are listed only when there is more than one block.
+# score block stays about the size of the |T| x k effective-tuple matrix.
+# With one block each chunk is computed as it is scored; with more, every
+# block reads one whole ranking-sigmoid array (F's exact rows are views).
 BLOCK = 64
 # float64 values of effective tuple embeddings per chunk of `weighted_map`
 # (256 KB, which stays in cache): a chunk is max(CHUNK // k, 1) tuple rows.
@@ -215,13 +217,14 @@ def build_tasks(train: FactStore, test: FactStore) -> list[RankingTask]:
             for rid in np.unique(test.facts[:, 0]).tolist()]
 
 
-def _score(scores: np.ndarray, chunks, relations: np.ndarray) -> None:
-    """Fill `scores` from the effective-tuple `chunks`, in row order, times
-    `relations` (k x block); DataError if the scores hold a NaN."""
-    lo = 0
-    for chunk in chunks:
-        np.matmul(chunk, relations, out=scores[lo:lo + len(chunk)])
-        lo += len(chunk)
+def _score(scores: np.ndarray, effective, relations: np.ndarray) -> None:
+    """Fill `scores` with `effective(rows)` times `relations` (k x block), a
+    slice of max(CHUNK // k, 1) tuple rows at a time; DataError if the scores
+    hold a NaN."""
+    n, step = len(scores), max(CHUNK // len(relations), 1)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        np.matmul(effective(rows), relations, out=scores[rows])
     if np.isnan(scores.max()):  # max propagates NaN and allocates no mask
         raise DataError("relation scores contain NaN: the model has non-finite parameters")
 
@@ -242,21 +245,16 @@ def weighted_map(tasks, params: ModelParams, variant: str):
     if not any(task.positives for task in tasks):
         raise ValueError("no ranking task holds a positive")
     n, k = params.tuple_pre.shape
-    step = max(CHUNK // k, 1)
-
-    def stream(effective):
-        return (effective(slice(lo, lo + step)) for lo in range(0, n, step))
 
     def exact(rows):
         return model.effective_tuples(params, variant, rows)
 
+    def approximate(rows):
+        return _ranking_sigmoid(params.tuple_pre[rows])
+
     certify = variant != "f"
-    if certify:
-        chunks = stream(lambda rows: _ranking_sigmoid(params.tuple_pre[rows]))
-    else:
-        chunks = stream(exact)
-    if len(tasks) > BLOCK:  # later blocks reuse the chunks
-        chunks = list(chunks)
+    if certify and len(tasks) > BLOCK:  # every block reads the rows of one array
+        approximate = _ranking_sigmoid(params.tuple_pre).__getitem__
     buffer = np.empty(n * min(BLOCK, len(tasks)))
     rows = []
     for start in range(0, len(tasks), BLOCK):
@@ -266,12 +264,12 @@ def weighted_map(tasks, params: ModelParams, variant: str):
         aps = [None]
         norms = np.abs(relations).sum(axis=0)
         if certify and ((NORM_RANGE[0] < norms) & (norms < NORM_RANGE[1])).all():
-            _score(scores, chunks, relations)
+            _score(scores, approximate, relations)
             tols = (4 * k + 130) * 2.0**-53 * norms  # derived in the module docstring
             aps = [_average_precision(scores[:, j], task, tols[j])
                    for j, task in enumerate(block)]
         if None in aps:
-            _score(scores, stream(exact) if certify else chunks, relations)
+            _score(scores, exact, relations)
             aps = [_average_precision(scores[:, j], task) for j, task in enumerate(block)]
         rows.extend(RelationAP(task.relation, len(task.positives), ap)
                     for task, ap in zip(block, aps))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,9 +239,9 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names, vari
     for F, sigmoid for FS/FSL). Tuple lines store pre-activations; 17
     significant digits make the round trip bit-exact for float64. What
     `load_embeddings` would reject raises ValueError before the file is
-    opened: a variant outside `VARIANTS`, matrices with no columns or of
-    different widths, a name count that differs from its matrix's row count,
-    or names that break the name rule of `data`.
+    opened: a variant outside `VARIANTS`, matrices with no columns, no rows
+    or of different widths, a name count that differs from its matrix's row
+    count, or names that break the name rule of `data`.
     """
     k = params.relations.shape[1]
     if variant not in VARIANTS:
@@ -257,6 +256,8 @@ def save_embeddings(path, params: ModelParams, relation_names, tuple_names, vari
     for _, kind, names, matrix in rows:
         if len(names) != len(matrix):
             raise ValueError(f"{len(names)} {kind} names for {len(matrix)} rows")
+        if not names:
+            raise ValueError(f"no {kind} rows: a checkpoint needs relations and tuples")
         if not names_fit(names, kind):
             seen = set()
             for name in names:
@@ -315,7 +316,8 @@ def load_embeddings(path):
     spaces. The tag check and the name rule's bulk test run on the columns;
     the lines are walked one at a time only to name a bad one.
     """
-    lineno, header = next(read_lines(path), (1, ""))
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
     header = header.split()
     if (lineno != 1 or len(header) != 4 or header[0] != "k"
             or not (header[1].isascii() and header[1].isdecimal())
@@ -325,15 +327,15 @@ def load_embeddings(path):
                          " v the variant the model was trained with")
     k, variant = int(header[1]), header[3]
     no_rows = "checkpoint has no relations or no tuples"
+    if next(lines, None) is None:  # so loadtxt never reads a body of blank lines
+        raise ParseError(f"{path}: {no_rows}")
     dtype = [("tag", object), ("name", object), ("values", np.float64, (k,))]
     try:  # each check raises ValueError, and the walk names the bad line
         # loadtxt would allocate rows of k values even where none fits in the file
         if 2 * k > os.path.getsize(path):
             raise ValueError(no_rows)
-        with warnings.catch_warnings():  # a body of blank lines is `no_rows` below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=1, ndmin=1,
-                              encoding="utf-8")
+        rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=1, ndmin=1,
+                          encoding="utf-8")
         tags, names = rows["tag"], rows["name"]
         is_relation = tags == "R"
         relation_names, tuple_names = names[is_relation].tolist(), names[~is_relation].tolist()

@@ -225,6 +225,8 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
     Rules are only used by variant FSL (their lifted losses enter every
     batch). The `cold_relations` ids start from `model.COLD_RANGE` (see
     `model.init_params`). Deterministic given (seed, options, inputs).
+    A floating-point overflow, invalid operation or division by zero in a
+    batch raises NumericalError naming the epoch, whatever the warning filters.
     """
     if len(store) == 0:
         raise DataError("fact store is empty")
@@ -252,31 +254,36 @@ def train(store: FactStore, rules, config: ModelConfig, options: TrainOptions,
         sums = np.zeros(4)  # recon, l2, implication, total
         n_batches = adam_rows = 0
         rule_seconds = grad_seconds = adam_seconds = 0.0
-        for start in range(0, n, options.batch_size):
-            part = slice(start, start + options.batch_size)
-            keep = kept[part]
-            if not keep.any():
-                continue
-            batch = Batch(relations[part][keep], positives[part][keep], negatives[part][keep])
-            g0 = time.perf_counter()
-            grads, recon, l2 = model.recon_l2_gradients(params, batch, rule_idx, config)
-            grad_seconds += time.perf_counter() - g0
-            if active_rules:
-                r0 = time.perf_counter()
-                implication = model.rule_gradients(params, rule_idx, config, grads)
-                rule_seconds += time.perf_counter() - r0
-            else:
-                implication = 0.0
-            loss = LossBreakdown.build(recon, l2, implication,
-                                       config.alpha, config.beta_tilde)
-            if not np.isfinite(loss.total):
-                raise NumericalError(f"non-finite loss at epoch {epoch}: {loss}")
-            sums += (loss.reconstruction, loss.l2, loss.implication, loss.total)
-            n_batches += 1
-            a0 = time.perf_counter()
-            adam_step(params, grads, state, options)
-            adam_seconds += time.perf_counter() - a0
-            adam_rows += len(grads.relation_rows) + len(grads.tuple_rows)
+        try:  # a floating-point fault in a batch is a divergence, not a warning
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for start in range(0, n, options.batch_size):
+                    part = slice(start, start + options.batch_size)
+                    keep = kept[part]
+                    if not keep.any():
+                        continue
+                    batch = Batch(relations[part][keep], positives[part][keep],
+                                  negatives[part][keep])
+                    g0 = time.perf_counter()
+                    grads, recon, l2 = model.recon_l2_gradients(params, batch, rule_idx, config)
+                    grad_seconds += time.perf_counter() - g0
+                    if active_rules:
+                        r0 = time.perf_counter()
+                        implication = model.rule_gradients(params, rule_idx, config, grads)
+                        rule_seconds += time.perf_counter() - r0
+                    else:
+                        implication = 0.0
+                    loss = LossBreakdown.build(recon, l2, implication,
+                                               config.alpha, config.beta_tilde)
+                    if not np.isfinite(loss.total):
+                        raise NumericalError(f"non-finite loss at epoch {epoch}: {loss}")
+                    sums += (loss.reconstruction, loss.l2, loss.implication, loss.total)
+                    n_batches += 1
+                    a0 = time.perf_counter()
+                    adam_step(params, grads, state, options)
+                    adam_seconds += time.perf_counter() - a0
+                    adam_rows += len(grads.relation_rows) + len(grads.tuple_rows)
+        except FloatingPointError as error:
+            raise NumericalError(f"{error} at epoch {epoch}") from None
         attempts_total, n_kept = int(attempts.sum()), int(kept.sum())
         collisions = attempts_total - n_kept  # every draw but each kept pair's last
         if n_batches == 0:

@@ -367,10 +367,11 @@ def test_criterion_11_evaluation_memory_is_one_score_block():
     """Evaluation holds one |T| x BLOCK score block at a time.
 
     With one block, the effective-tuple matrix E (|T| x k) is never built:
-    its chunks of `evaluation.CHUNK` values are scored as they are computed.
-    With more blocks, the chunks are kept for the later blocks, so E exists
-    once. The slack is one chunk and four |T|-long float64 temporaries of
-    the AP (the pool's scores and their sorted copy among them).
+    each chunk of `evaluation.CHUNK` values is computed as it is scored.
+    With more blocks, FS and FSL compute one whole ranking-sigmoid array,
+    E's size, which every block reads, so E exists once. The slack is one
+    chunk and four |T|-long float64 temporaries of the AP (the pool's scores
+    and their sorted copy among them).
     """
     n_tuples, k = 20_000, 50
     effective = 8 * n_tuples * k

@@ -646,6 +646,16 @@ class TestExitCodes:
         assert not any((out / name).exists()
                        for name in ("checkpoint.txt", "metrics.csv", "manifest.json"))
 
+    def test_divergence_is_numerical_abort(self, corpus_files, tmp_path, capsys):
+        # a real divergence, under pyproject.toml's RuntimeWarning-as-error
+        # filter: the first overflow aborts the run instead of escaping as a
+        # RuntimeWarning traceback
+        out = tmp_path / "run"
+        assert run_train(corpus_files, out, epochs=3, extra=["--learning-rate", "1e300"]) == 3
+        assert capsys.readouterr().err.startswith("numerical abort: overflow encountered")
+        assert not any((out / name).exists()
+                       for name in ("checkpoint.txt", "metrics.csv", "manifest.json"))
+
     def test_python_dash_m_exit_code(self, tmp_path):
         # a real interpreter, so that the exit code is the one a shell sees
         src = str(Path(liftedkb.__file__).parents[1])

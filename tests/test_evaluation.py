@@ -210,17 +210,19 @@ class TestRankingKernel:
     @pytest.mark.parametrize("n_rel", [1, 64, 65, 200])
     def test_effective_tuples_once_per_call(self, monkeypatch, n_rel):
         # each tuple row passes through the ranking sigmoid exactly once per
-        # call, whatever the number of blocks: its chunks cover the rows once,
-        # in order (CHUNK = 12 at k = 3 makes chunks of 4, 4 and 2 rows). No
-        # score is near a tie, so no block is rescored, and effective_tuples
-        # is never called
+        # call, whatever the number of blocks: with one block, in chunks that
+        # cover the rows once, in order (CHUNK = 12 at k = 3 makes chunks of
+        # 4, 4 and 2 rows); with more, in one call on all 10 rows that every
+        # block reads. No score is near a tie, so no block is rescored, and
+        # effective_tuples is never called
         sigmoid_calls = counting(monkeypatch, evaluation, "_ranking_sigmoid")
         exact_calls = counting(monkeypatch, model, "effective_tuples")
         monkeypatch.setattr(evaluation, "CHUNK", 12)
         rng = np.random.default_rng(3)
         params = ModelParams(rng.normal(size=(n_rel, 3)), rng.normal(size=(10, 3)))
         weighted_map([task(r, {r % 10}, 10) for r in range(n_rel)], params, "fs")
-        assert [len(pre) for pre, in sigmoid_calls] == [4, 4, 2]
+        expected = [4, 4, 2] if n_rel <= evaluation.BLOCK else [10]
+        assert [len(pre) for pre, in sigmoid_calls] == expected
         assert np.array_equal(np.concatenate([pre for pre, in sigmoid_calls]),
                               params.tuple_pre)
         assert exact_calls == []

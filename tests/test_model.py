@@ -498,18 +498,20 @@ class TestPersistence:
             model.save_embeddings(path, p, relations, tuples, "fs")
         assert not path.exists()
 
-    # (variant, relation columns, tuple columns, message)
-    @pytest.mark.parametrize("variant, k, k_tuples, message", [
-        ("xyz", 3, 3, "variant must be one of ('f', 'fs', 'fsl'), got 'xyz'"),
-        ("fs", 0, 0, "k must be >= 1, got 0"),
-        ("fs", 2, 3, "relations have 2 columns, tuple pre-activations 3"),
-    ], ids=["unknown-variant", "no-columns", "different-widths"])
+    # (variant, relation columns, tuple columns, relation rows, tuple rows, message)
+    @pytest.mark.parametrize("variant, k, k_tuples, n_rel, n_tup, message", [
+        ("xyz", 3, 3, 1, 1, "variant must be one of ('f', 'fs', 'fsl'), got 'xyz'"),
+        ("fs", 0, 0, 1, 1, "k must be >= 1, got 0"),
+        ("fs", 2, 3, 1, 1, "relations have 2 columns, tuple pre-activations 3"),
+        ("fs", 2, 2, 0, 1, "no relation rows: a checkpoint needs relations and tuples"),
+        ("fs", 2, 2, 1, 0, "no tuple rows: a checkpoint needs relations and tuples"),
+    ], ids=["unknown-variant", "no-columns", "different-widths", "no-relations", "no-tuples"])
     def test_save_rejects_a_header_it_could_not_read_back(self, tmp_path, variant, k,
-                                                          k_tuples, message):
+                                                          k_tuples, n_rel, n_tup, message):
         path = tmp_path / "ckpt.txt"
-        p = ModelParams(np.zeros((1, k)), np.zeros((1, k_tuples)))
+        p = ModelParams(np.zeros((n_rel, k)), np.zeros((n_tup, k_tuples)))
         with pytest.raises(ValueError, match=re.escape(message)):
-            model.save_embeddings(path, p, ["r"], ["t"], variant)
+            model.save_embeddings(path, p, ["r"] * n_rel, ["t"] * n_tup, variant)
         assert not path.exists()
 
     def test_reserved_name_saves_as_a_tuple(self, tmp_path):
